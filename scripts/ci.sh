@@ -52,7 +52,7 @@ python -m pytest -q -m conformance tests/conformance
 echo "== serving daemon suite (fault injection, batching properties, latency stats) =="
 # Hard wall-clock bound on top of the per-test SIGALRM timeout: a hung
 # virtual-clock event loop must fail CI, not stall it.
-timeout 600 python -m pytest -q -m serving tests/serving
+timeout 600 python -m pytest -q -m serving tests/serving tests/utils/test_blas.py
 
 echo "== serving daemon smoke (quick Poisson run over the zoo) =="
 timeout 300 python -m repro.experiments.runner --quick --no-cache serve_daemon \

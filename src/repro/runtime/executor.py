@@ -40,6 +40,7 @@ from repro.errors import ConfigError
 from repro.experiments.registry import get_experiment
 from repro.runtime.cache import ResultCache, normalize_rows
 from repro.runtime.retry import RetryPolicy, TransientError, is_transient
+from repro.utils.blas import cap_blas_threads, restore_blas_threads
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan imports us)
     from repro.runtime.faults import ExecutorFault, ExecutorFaultPlan
@@ -548,6 +549,10 @@ def _execute_isolated(
             if delay is not None:
                 requeue(entry, attempt, delay)
 
+    # Forked workers inherit the parent's OpenBLAS pool size: cap it so
+    # ``jobs`` concurrent attempts share the cores instead of each running
+    # a pool sized for all of them (see repro.utils.blas).
+    blas_saved = cap_blas_threads(jobs)
     try:
         while flights or (queue and not run.aborted):
             now = time.monotonic()
@@ -629,3 +634,4 @@ def _execute_isolated(
             flight.process.kill()
             flight.process.join()
             conn.close()
+        restore_blas_threads(blas_saved)

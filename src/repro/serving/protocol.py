@@ -301,6 +301,6 @@ def functional_run_digest(run) -> str:
         digest.update(layer.layer.encode())
         digest.update(str(output.dtype).encode())
         digest.update(str(output.shape).encode())
-        digest.update(output.tobytes())
+        digest.update(memoryview(output))  # same bytes, no copy
         digest.update(repr(layer.stats).encode())
     return digest.hexdigest()

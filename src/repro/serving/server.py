@@ -97,6 +97,11 @@ from repro.serving.queue import (
     BatchQueue,
 )
 from repro.serving.stats import LatencyRecorder
+from repro.utils.blas import (
+    blas_thread_counts,
+    cap_blas_threads,
+    restore_blas_threads,
+)
 from repro.version import __version__
 
 #: Fallback per-request service estimate (ms) before the first batch
@@ -271,6 +276,7 @@ class ServingServer:
         self._service_ms_ema: "float | None" = None
         self._draining = False
         self._stopping = False
+        self._blas_saved: "dict[str, int] | None" = None
 
         self._listener: "socket.socket | None" = None
         self._threads: list[threading.Thread] = []
@@ -302,6 +308,9 @@ class ServingServer:
         self._listener = listener
         if warm:
             self.pool.warm(self.models)
+        # OpenBLAS sizes one process-wide pool for every core; each worker
+        # thread calling into it would multiply that (see repro.utils.blas).
+        self._blas_saved = cap_blas_threads(self.worker_count)
         for worker_id in range(self.worker_count):
             thread = threading.Thread(
                 target=self._worker_loop, args=(worker_id,),
@@ -369,6 +378,9 @@ class ServingServer:
         for conn in tuple(self._connections):
             conn.close()
         self._connections.clear()
+        saved, self._blas_saved = self._blas_saved, None
+        if saved is not None:
+            restore_blas_threads(saved)
         self.monitor.mark_stopped()
 
     # ------------------------------------------------------------------ #
@@ -764,6 +776,7 @@ class ServingServer:
                 "terminals": len(self._terminals),
             }
             latency = self._latency.summary()
+        extras["blas_threads"] = blas_thread_counts()
         extras["latency_ms"] = {
             key: (value / 1000.0 if key.endswith("_us") else value)
             for key, value in latency.items()
@@ -914,6 +927,7 @@ def main(argv=None) -> int:
                 "models": list(models),
                 "pid": os.getpid(),
                 "protocol": PROTOCOL_VERSION,
+                "blas_threads": blas_thread_counts(),
             }
         ),
         flush=True,

@@ -9,9 +9,12 @@ that stream), and a live server answers a broken stream with a clean
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -264,6 +267,39 @@ class TestDigest:
         assert a == b
         assert a != c
         assert a != d
+
+    @staticmethod
+    def _tobytes_digest(run):
+        """The digest as first specified: one ``tobytes`` copy per layer."""
+        digest = hashlib.sha256()
+        digest.update(run.model.encode())
+        for layer in run.layers:
+            output = np.ascontiguousarray(layer.output)
+            digest.update(b"\0")
+            digest.update(layer.layer.encode())
+            digest.update(str(output.dtype).encode())
+            digest.update(str(output.shape).encode())
+            digest.update(output.tobytes())
+            digest.update(repr(layer.stats).encode())
+        return digest.hexdigest()
+
+    def test_digest_pinned_to_tobytes_formula(self, oracle):
+        for model in ("Tiny-CNN", "Tiny-GEMM"):
+            run = oracle(model, 0)
+            assert functional_run_digest(run) == self._tobytes_digest(run)
+
+    def test_non_contiguous_output_hashes_its_logical_bytes(self):
+        base = np.arange(24, dtype=np.float32).reshape(4, 6)
+        transposed = base.T
+        assert not transposed.flags.c_contiguous
+        run = SimpleNamespace(
+            model="M",
+            layers=[
+                SimpleNamespace(layer="t", output=transposed, stats="s"),
+                SimpleNamespace(layer="u", output=base[:, ::2], stats="s"),
+            ],
+        )
+        assert functional_run_digest(run) == self._tobytes_digest(run)
 
     def test_digest_requires_kept_outputs(self, definitions):
         from repro.nn.functional import run_model_functional

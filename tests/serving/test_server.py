@@ -38,6 +38,7 @@ from repro.serving.server import (
     ShedPolicy,
     demo_definitions,
 )
+from repro.utils import blas
 
 SEED = 2021
 
@@ -338,6 +339,44 @@ class TestDrain:
             assert server.await_drained(timeout_s=30.0)
         finally:
             server.shutdown()
+
+
+class TestBlasThreadCap:
+    def test_two_workers_cap_blas_while_serving_then_restore(
+        self, pool, oracle, monkeypatch
+    ):
+        original = blas.blas_thread_counts()
+        # Two cores, two BLAS threads per library: two workers cap to one.
+        monkeypatch.setattr(blas, "_core_count", lambda: 2)
+        before = {name: 2 for name in original}
+        # The oracle runs uncapped; the server's capped run must match it.
+        expected = {
+            image: functional_run_digest(oracle("Tiny-CNN", image))
+            for image in (0, 1)
+        }
+        blas.restore_blas_threads(before)
+        server = ServingServer(
+            pool, models=("Tiny-CNN",), batch_cap=2, deadline_ms=20.0,
+            workers=2,
+        )
+        try:
+            server.start()
+            with ServingClient(server.address, client="blas") as client:
+                assert client.health()["blas_threads"] == {
+                    name: 1 for name in original
+                }
+                for image, digest in expected.items():
+                    response = client.request(
+                        "Tiny-CNN", image, deadline_ms=10000
+                    )
+                    assert response["status"] == "completed"
+                    assert response["digest"] == digest
+            server.shutdown()
+            # An in-process server must not leave its host on fewer threads.
+            assert blas.blas_thread_counts() == before
+        finally:
+            server.shutdown()
+            blas.restore_blas_threads(original)
 
 
 class TestWorkerKills:
