@@ -12,10 +12,8 @@ history survives across runs.
 
 from __future__ import annotations
 
-import json
 import time
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +22,7 @@ from repro.nn.functional import run_model_functional
 
 SPARSITY = 0.7
 MIN_SPEEDUP_2048 = 5.0
-TRAJECTORY_PATH = Path(__file__).parent / "results" / "blocked_speedup.json"
+TRAJECTORY = "blocked_speedup.json"
 
 
 def _timed(func):
@@ -32,17 +30,6 @@ def _timed(func):
     start = time.perf_counter()
     result = func()
     return time.perf_counter() - start, result
-
-
-def _append_trajectory(row: dict) -> None:
-    """Append one measurement to the bench JSON trajectory."""
-    TRAJECTORY_PATH.parent.mkdir(parents=True, exist_ok=True)
-    if TRAJECTORY_PATH.exists():
-        trajectory = json.loads(TRAJECTORY_PATH.read_text())
-    else:
-        trajectory = []
-    trajectory.append(row)
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
 
 
 def _integer_operands(size: int, seed: int):
@@ -62,7 +49,7 @@ def _integer_operands(size: int, seed: int):
     return a, b
 
 
-def test_bench_blocked_engine_speedup(benchmark):
+def test_bench_blocked_engine_speedup(benchmark, append_trajectory):
     sizes = {}
     for size in (1024, 2048):
         a, b = _integer_operands(size, seed=size)
@@ -89,7 +76,8 @@ def test_bench_blocked_engine_speedup(benchmark):
     assert run.ohmma_issued > 0
 
     speedup_2048 = sizes[2048][0] / sizes[2048][1]
-    _append_trajectory(
+    append_trajectory(
+        TRAJECTORY,
         {
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "workload": f"spgemm 1024^3 + 2048^3 at ({SPARSITY}, {SPARSITY})",

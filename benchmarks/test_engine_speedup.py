@@ -10,10 +10,8 @@ across runs.
 
 from __future__ import annotations
 
-import json
 import time
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +21,7 @@ from repro.sparsity.generators import random_sparse_matrix
 SIZE = 512
 DENSITY = 0.1
 MIN_SPEEDUP = 10.0
-TRAJECTORY_PATH = Path(__file__).parent / "results" / "engine_speedup.json"
+TRAJECTORY = "engine_speedup.json"
 
 
 def _timed(func) -> float:
@@ -33,18 +31,7 @@ def _timed(func) -> float:
     return time.perf_counter() - start
 
 
-def _append_trajectory(row: dict) -> None:
-    """Append one measurement to the bench JSON trajectory."""
-    TRAJECTORY_PATH.parent.mkdir(parents=True, exist_ok=True)
-    if TRAJECTORY_PATH.exists():
-        trajectory = json.loads(TRAJECTORY_PATH.read_text())
-    else:
-        trajectory = []
-    trajectory.append(row)
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
-
-
-def test_bench_engine_speedup_512(benchmark):
+def test_bench_engine_speedup_512(benchmark, append_trajectory):
     rng = np.random.default_rng(2021)
     a = random_sparse_matrix((SIZE, SIZE), DENSITY, rng)
     b = random_sparse_matrix((SIZE, SIZE), DENSITY, rng)
@@ -69,7 +56,8 @@ def test_bench_engine_speedup_512(benchmark):
     assert reference.stats == vectorized.stats
 
     speedup = reference_seconds / vectorized_seconds
-    _append_trajectory(
+    append_trajectory(
+        TRAJECTORY,
         {
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "workload": f"spgemm {SIZE}x{SIZE}x{SIZE}",

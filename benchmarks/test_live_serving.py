@@ -17,10 +17,8 @@ functional oracle.
 
 from __future__ import annotations
 
-import json
 import time
 from datetime import datetime, timezone
-from pathlib import Path
 
 from repro.experiments.serve_live import SoakConfig, oracle_digests
 from repro.serving.client import ServingClient
@@ -31,21 +29,10 @@ from repro.serving.stats import LatencyRecorder
 SEED = 2021
 REQUESTS = 32
 IMAGES = 4
-TRAJECTORY_PATH = Path(__file__).parent / "results" / "serve_throughput.json"
+TRAJECTORY = "serve_throughput.json"
 
 
-def _append_trajectory(row: dict) -> None:
-    """Append one measurement to the bench JSON trajectory."""
-    TRAJECTORY_PATH.parent.mkdir(parents=True, exist_ok=True)
-    if TRAJECTORY_PATH.exists():
-        trajectory = json.loads(TRAJECTORY_PATH.read_text())
-    else:
-        trajectory = []
-    trajectory.append(row)
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
-
-
-def test_bench_live_socket_latency(one_shot):
+def test_bench_live_socket_latency(one_shot, append_trajectory):
     definitions = demo_definitions()
     models = tuple(definitions)
     oracle = oracle_digests(SoakConfig(seed=SEED, images=IMAGES))
@@ -88,7 +75,8 @@ def test_bench_live_socket_latency(one_shot):
         client.close()
         server.shutdown()
 
-    _append_trajectory(
+    append_trajectory(
+        TRAJECTORY,
         {
             "timestamp": datetime.now(timezone.utc).isoformat(
                 timespec="seconds"

@@ -22,10 +22,8 @@ per-image oracle.
 
 from __future__ import annotations
 
-import json
 import time
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +36,7 @@ MODEL = "ResNet-18"
 BATCH = 8
 SEED = 2021
 MIN_SPEEDUP = 3.0
-TRAJECTORY_PATH = Path(__file__).parent / "results" / "serve_throughput.json"
+TRAJECTORY = "serve_throughput.json"
 
 #: Whole-zoo pass: batch served per model; per-model data scales come
 #: from the zoo's ``benchmark_scale`` metadata (Mask R-CNN runs reduced
@@ -46,18 +44,7 @@ TRAJECTORY_PATH = Path(__file__).parent / "results" / "serve_throughput.json"
 ZOO_BATCH = 2
 
 
-def _append_trajectory(row: dict) -> None:
-    """Append one measurement to the bench JSON trajectory."""
-    TRAJECTORY_PATH.parent.mkdir(parents=True, exist_ok=True)
-    if TRAJECTORY_PATH.exists():
-        trajectory = json.loads(TRAJECTORY_PATH.read_text())
-    else:
-        trajectory = []
-    trajectory.append(row)
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
-
-
-def test_bench_serve_throughput(benchmark):
+def test_bench_serve_throughput(benchmark, append_trajectory):
     compile_start = time.perf_counter()
     compiled = compile_model(MODEL, scale=1.0, seed=SEED, memo=False)
     compile_seconds = time.perf_counter() - compile_start
@@ -96,7 +83,8 @@ def test_bench_serve_throughput(benchmark):
     benchmark(compiled.run, 2)
 
     speedup = baseline_seconds / session_seconds
-    _append_trajectory(
+    append_trajectory(
+        TRAJECTORY,
         {
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "workload": f"{MODEL} scale=1.0 batch={BATCH}",
@@ -115,7 +103,7 @@ def test_bench_serve_throughput(benchmark):
     )
 
 
-def test_bench_zoo_throughput(one_shot):
+def test_bench_zoo_throughput(one_shot, append_trajectory):
     """Serve the whole model zoo and record images/sec per model.
 
     Unlike the gated ResNet-18 benchmark above, this pass has no hard
@@ -162,10 +150,10 @@ def test_bench_zoo_throughput(one_shot):
     assert len(rows) == len(DEFAULT_MODELS)
     for row in rows:
         assert row["session_images_per_sec"] > 0
-        _append_trajectory(row)
+        append_trajectory(TRAJECTORY, row)
 
 
-def test_bench_daemon_slo(one_shot):
+def test_bench_daemon_slo(one_shot, append_trajectory):
     """Tail-latency SLO row for the serving daemon, same 3x gate.
 
     A same-instant burst of 8 requests flushes as one full batch, so the
@@ -222,7 +210,8 @@ def test_bench_daemon_slo(one_shot):
 
     daemon_seconds = report.wall_execute_seconds
     speedup = baseline_seconds / daemon_seconds
-    _append_trajectory(
+    append_trajectory(
+        TRAJECTORY,
         {
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "workload": f"daemon {MODEL} scale=1.0 batch={BATCH}",

@@ -13,10 +13,8 @@ across runs.
 
 from __future__ import annotations
 
-import json
 import time
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +27,7 @@ FILTERS, KERNEL, STRIDE, PADDING = 128, 3, 1, 1
 ACTIVATION_DENSITY = 0.1
 WEIGHT_DENSITY = 0.25
 MIN_SPEEDUP = 20.0
-TRAJECTORY_PATH = Path(__file__).parent / "results" / "spconv_speedup.json"
+TRAJECTORY = "spconv_speedup.json"
 
 
 def _timed(func) -> float:
@@ -37,17 +35,6 @@ def _timed(func) -> float:
     start = time.perf_counter()
     func()
     return time.perf_counter() - start
-
-
-def _append_trajectory(row: dict) -> None:
-    """Append one measurement to the bench JSON trajectory."""
-    TRAJECTORY_PATH.parent.mkdir(parents=True, exist_ok=True)
-    if TRAJECTORY_PATH.exists():
-        trajectory = json.loads(TRAJECTORY_PATH.read_text())
-    else:
-        trajectory = []
-    trajectory.append(row)
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
 
 
 def _workload():
@@ -61,7 +48,7 @@ def _workload():
     return feature_map, weights
 
 
-def test_bench_spconv_speedup_table3_layer(benchmark):
+def test_bench_spconv_speedup_table3_layer(benchmark, append_trajectory):
     feature_map, weights = _workload()
 
     # The im2col stage alone must be bit-exact: lowered values, condensed
@@ -109,7 +96,8 @@ def test_bench_spconv_speedup_table3_layer(benchmark):
     assert reference.stats == vectorized.stats
 
     speedup = reference_seconds / vectorized_seconds
-    _append_trajectory(
+    append_trajectory(
+        TRAJECTORY,
         {
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "workload": (

@@ -6,10 +6,9 @@ recomputing it (the CLI acceptance bar is >=5x including interpreter
 startup; the in-process ratio is far higher).
 """
 
-import pytest
-
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import ExperimentTask, run_tasks
+from repro.runtime.executor import ExperimentTask, run_plan
+from repro.runtime.plan import build_plan
 from repro.runtime.sweep import SweepSpec, run_sweep
 
 TASKS = [
@@ -20,16 +19,20 @@ TASKS = [
 ]
 
 
+def run_cached(cache):
+    return run_plan(build_plan(TASKS, cache), cache=cache).results
+
+
 def test_fresh_quick_tasks(one_shot, tmp_path):
-    results = one_shot(run_tasks, TASKS, cache=ResultCache(tmp_path))
+    results = one_shot(run_cached, ResultCache(tmp_path))
     assert len(results) == len(TASKS)
     assert not any(result.cached for result in results)
 
 
 def test_cached_quick_tasks(benchmark, tmp_path):
     cache = ResultCache(tmp_path)
-    warm = run_tasks(TASKS, cache=cache)
-    results = benchmark(run_tasks, TASKS, cache=cache)
+    warm = run_cached(cache)
+    results = benchmark(run_cached, cache)
     assert all(result.cached for result in results)
     assert [result.rows for result in results] == [result.rows for result in warm]
 

@@ -24,9 +24,9 @@ from repro.core.spgemm_warp import WarpTileConfig
 from repro.hw.config import GpuConfig, V100_CONFIG
 from repro.nn.models import DEFAULT_MODELS
 from repro.serving.arrivals import poisson_arrivals
+from repro.serving.core import FLUSH_DEADLINE, FLUSH_FULL
 from repro.serving.daemon import ServingDaemon
 from repro.serving.pool import SessionPool
-from repro.serving.queue import FLUSH_DEADLINE, FLUSH_FULL
 
 #: Default sweep axes: one realistic operating point per axis; the
 #: registry marks every axis sweepable for wider grids.

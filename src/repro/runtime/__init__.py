@@ -9,10 +9,10 @@ the experiment layer into a crash-safe sweep engine:
   re-runs are near-instant and byte-identical.  Writes are atomic
   (temp file + rename, fsync'd), so a killed process can never leave a
   truncated entry.
-* :mod:`repro.runtime.executor` — serial and multiprocessing execution
-  of :class:`ExperimentTask` lists with deterministic result order,
-  plus :func:`run_plan`, the fault-tolerant engine (bounded retries,
-  parent-enforced timeouts, quarantine, fault injection).
+* :mod:`repro.runtime.executor` — :func:`run_plan`, the one execution
+  engine: inline or one isolated worker process per attempt, with
+  deterministic result order, bounded retries, parent-enforced
+  timeouts, quarantine and fault injection.
 * :mod:`repro.runtime.plan` — expand a task list into an ordered,
   content-addressed :class:`RunPlan` (the ``--dry-run`` view, and the
   identity a resumed run uses to find its journal).
@@ -22,8 +22,7 @@ the experiment layer into a crash-safe sweep engine:
   per-task timeouts, deterministic exponential backoff) shared by the
   executor and the serving layer's session warm-up.
 * :mod:`repro.runtime.faults` — deterministic executor fault plans
-  (worker kills, hangs, transient exceptions) mirroring
-  :mod:`repro.serving.faults`.
+  (worker kills, hangs, transient exceptions).
 * :mod:`repro.runtime.sweep` — :class:`SweepSpec` grids that
   cross-product GPU presets × design-point overrides × per-experiment
   parameter grids and drive any registered experiment.
@@ -40,7 +39,6 @@ from repro.runtime.executor import (
     TaskResult,
     execute_task,
     run_plan,
-    run_tasks,
 )
 from repro.runtime.faults import ExecutorFault, ExecutorFaultPlan
 from repro.runtime.journal import RunJournal, read_events, replay, signature
@@ -56,7 +54,6 @@ __all__ = [
     "TaskResult",
     "PlanExecution",
     "execute_task",
-    "run_tasks",
     "run_plan",
     "ExecutorFault",
     "ExecutorFaultPlan",

@@ -7,19 +7,15 @@ Tasks carry only JSON-serializable values, so the same dictionary both
 feeds the driver and forms the cache key — there is no way for a cached
 run to diverge from a fresh one because both are derived from the task.
 
-Two execution layers share this module:
-
-* :func:`run_tasks` — the original eager engine: resolve cache hits in
-  the parent, dispatch misses serially or through a ``multiprocessing``
-  pool.  Fast, but a crashed worker takes the run down with it.
-* :func:`run_plan` — the fault-tolerant engine behind the runner CLI:
-  executes a :class:`repro.runtime.plan.RunPlan` under a
-  :class:`repro.runtime.retry.RetryPolicy` (bounded retries with
-  deterministic backoff, per-task wall-clock timeouts enforced by the
-  parent), journals every transition (:mod:`repro.runtime.journal`),
-  quarantines permanently failing cells instead of aborting the grid,
-  and accepts an :class:`repro.runtime.faults.ExecutorFaultPlan` so
-  every recovery path is testable on demand.
+:func:`run_plan` is the one engine, behind the runner CLI and
+:func:`repro.runtime.sweep.run_sweep` alike: it executes a
+:class:`repro.runtime.plan.RunPlan` under a
+:class:`repro.runtime.retry.RetryPolicy` (bounded retries with
+deterministic backoff, per-task wall-clock timeouts enforced by the
+parent), journals every transition (:mod:`repro.runtime.journal`),
+quarantines permanently failing cells instead of aborting the grid, and
+accepts an :class:`repro.runtime.faults.ExecutorFaultPlan` so every
+recovery path is testable on demand.
 
 Results always come back in task order, so serial, parallel, cached and
 resumed invocations print identical reports.
@@ -117,82 +113,11 @@ def execute_task(task: ExperimentTask) -> "list[dict]":
     return normalize_rows(spec.resolve()(**kwargs))
 
 
-def run_tasks(
-    tasks: Sequence[ExperimentTask],
-    jobs: int = 1,
-    cache: "ResultCache | None" = None,
-) -> "list[TaskResult]":
-    """Execute tasks (cache-first), returning results in task order.
-
-    Args:
-        tasks: the work list; duplicates are executed once per entry.
-        jobs: worker processes for cache misses (1 = run in-process).
-        cache: result cache; ``None`` disables caching entirely.
-    """
-    for task in tasks:
-        get_experiment(task.experiment)  # fail fast on unknown names
-
-    keys = [
-        cache.key(task.experiment, task.cache_params()) if cache else None
-        for task in tasks
-    ]
-    results: "list[TaskResult | None]" = [None] * len(tasks)
-    misses: list[int] = []
-    for index, (task, key) in enumerate(zip(tasks, keys)):
-        rows = cache.load(key) if cache else None
-        if rows is not None:
-            results[index] = TaskResult(task=task, rows=rows, cached=True)
-        else:
-            misses.append(index)
-
-    if misses:
-        miss_tasks = [tasks[index] for index in misses]
-        if jobs > 1 and len(miss_tasks) > 1:
-            with make_pool(min(jobs, len(miss_tasks))) as pool:
-                timed = pool.map(_execute_timed, miss_tasks)
-        else:
-            timed = [_execute_timed(task) for task in miss_tasks]
-        for index, (rows, duration) in zip(misses, timed):
-            results[index] = TaskResult(
-                task=tasks[index],
-                rows=rows,
-                cached=False,
-                duration_s=duration,
-                attempts=1,
-            )
-            if cache:
-                cache.store(
-                    keys[index],
-                    tasks[index].experiment,
-                    tasks[index].cache_params(),
-                    rows,
-                )
-    return [result for result in results if result is not None]
-
-
 def _execute_timed(task: ExperimentTask) -> "tuple[list[dict], float]":
     """Worker entry: rows plus this task's own wall-clock duration."""
     started = time.perf_counter()
     rows = execute_task(task)
     return rows, time.perf_counter() - started
-
-
-def _preferred_start_method() -> str:
-    """``fork`` where available (workers inherit imports), else spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else methods[0]
-
-
-def make_pool(processes: int) -> "multiprocessing.pool.Pool":
-    """A worker pool on the preferred start method.
-
-    The single pool-construction point of the runtime: ``run_tasks``
-    uses it for experiment fan-out and the serving daemon's session pool
-    reuses it to shard model compilation across workers
-    (:meth:`repro.serving.pool.SessionPool.warm`).
-    """
-    context = multiprocessing.get_context(_preferred_start_method())
-    return context.Pool(processes=processes)
 
 
 # ---------------------------------------------------------------------- #
@@ -508,7 +433,11 @@ def _execute_isolated(
     waits on their pipes, kills anything past its deadline and folds
     every outcome through the shared retry/quarantine bookkeeping.
     """
-    context = multiprocessing.get_context(_preferred_start_method())
+    # ``fork`` where available: workers inherit the parent's imports.
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context(
+        "fork" if "fork" in methods else methods[0]
+    )
     timeout_s = run.policy.task_timeout_s
     queue: "list[tuple[PlanEntry, int, float]]" = [
         (entry, 1, 0.0) for entry in pending  # (entry, attempt, ready_at)

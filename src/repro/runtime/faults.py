@@ -1,7 +1,6 @@
 """Deterministic fault plans for the sweep executor.
 
-The counterpart of :mod:`repro.serving.faults` for the plan/execute
-runtime: instead of racing real signals against a live pool, a
+Instead of racing real signals against live workers, a
 :class:`ExecutorFaultPlan` states exactly which *(task, attempt)* pairs
 misbehave and how, and the worker entry point consults it before and
 after running the task.  Every recovery path of the executor — worker

@@ -118,7 +118,6 @@ def call_with_retry(
     classify: "Callable[[BaseException], bool] | None" = None,
     on_retry: "Callable[[int, BaseException, float], None] | None" = None,
     sleep: Callable[[float], None] = time.sleep,
-    attempts_used: int = 0,
     deadline_s: "float | None" = None,
     clock: Callable[[], float] = time.monotonic,
 ) -> Any:
@@ -131,9 +130,6 @@ def call_with_retry(
         on_retry: observer called as ``(failed_attempt, error, delay_s)``
             before each backoff sleep — the journal hook.
         sleep: injectable for tests; production uses ``time.sleep``.
-        attempts_used: attempts already consumed elsewhere (e.g. a
-            parallel first try whose failure is being finished serially),
-            deducted from the budget.
         deadline_s: per-call override of ``policy.deadline_s`` — the
             total budget, measured on ``clock``, from the first attempt.
             A retry whose backoff delay cannot complete inside the
@@ -148,7 +144,7 @@ def call_with_retry(
     if deadline_s is None:
         deadline_s = policy.deadline_s
     started = clock()
-    attempt = attempts_used
+    attempt = 0
     while True:
         attempt += 1
         try:

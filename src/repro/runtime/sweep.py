@@ -27,15 +27,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.experiments.registry import get_experiment
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import (
-    ExperimentTask,
-    TaskResult,
-    run_plan,
-    run_tasks,
-)
+from repro.runtime.executor import ExperimentTask, TaskResult, run_plan
+from repro.runtime.plan import build_plan
 
 
 @dataclass(frozen=True)
@@ -132,7 +128,8 @@ class SweepResult:
 
     @property
     def failures(self) -> "Tuple[TaskResult, ...]":
-        """Quarantined cells (empty unless run with a retry policy)."""
+        """Quarantined cells (empty unless run with ``keep_going=True``:
+        without it :func:`run_sweep` raises on the first quarantine)."""
         return tuple(result for result in self.results if not result.ok)
 
 
@@ -146,24 +143,22 @@ def run_sweep(
     faults=None,
     keep_going: bool = False,
 ) -> SweepResult:
-    """Expand and execute a sweep grid; results keep grid order.
+    """Expand and execute a sweep grid through :func:`run_plan`.
 
-    With only ``jobs``/``cache`` set this is the original eager engine.
-    Passing any of ``policy`` (:class:`repro.runtime.retry.RetryPolicy`),
-    ``journal`` (:class:`repro.runtime.journal.RunJournal`), ``faults``
-    (:class:`repro.runtime.faults.ExecutorFaultPlan`) or ``keep_going``
-    routes the grid through the fault-tolerant plan executor instead:
-    bounded retries, parent-enforced timeouts, journaling, and
-    quarantined cells surfacing in :attr:`SweepResult.failures` rather
-    than as an exception out of the pool.
+    Results keep grid order.  ``policy``
+    (:class:`repro.runtime.retry.RetryPolicy`), ``journal``
+    (:class:`repro.runtime.journal.RunJournal`) and ``faults``
+    (:class:`repro.runtime.faults.ExecutorFaultPlan`) are forwarded:
+    bounded retries, parent-enforced timeouts and journaling.
+
+    Raises:
+        ReproError: a cell failed for good and ``keep_going`` is off; the
+            message names every quarantined cell.  With ``keep_going``
+            the grid finishes and those cells land in
+            :attr:`SweepResult.failures` instead.
     """
-    tasks = spec.expand()
-    if policy is None and journal is None and faults is None and not keep_going:
-        return SweepResult(results=tuple(run_tasks(tasks, jobs=jobs, cache=cache)))
-    from repro.runtime.plan import build_plan
-
     execution = run_plan(
-        build_plan(tasks, cache),
+        build_plan(spec.expand(), cache),
         jobs=jobs,
         cache=cache,
         journal=journal,
@@ -171,4 +166,11 @@ def run_sweep(
         faults=faults,
         keep_going=keep_going,
     )
+    if execution.aborted:
+        cells = "; ".join(
+            f"{failure.task.experiment} @ {failure.task.gpu} "
+            f"params={dict(failure.task.params)!r}: {failure.error}"
+            for failure in execution.failures
+        )
+        raise ReproError(f"sweep stopped at a failed cell: {cells}")
     return SweepResult(results=tuple(execution.results))

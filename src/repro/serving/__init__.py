@@ -1,29 +1,42 @@
-"""Async serving daemon over compiled inference sessions.
+"""Request serving over compiled inference sessions.
 
 The serving layer wraps the batch-folding session runtime
-(:mod:`repro.nn.session`) in a long-running request daemon: dynamic
-batching with deadline flushing, bounded-queue admission control,
-multi-worker sharding, exact tail-latency percentiles and a
-deterministic virtual-clock core that makes every run — including
-injected crash scenarios — replayable bit for bit.  See
-:mod:`repro.serving.daemon` for the determinism contract.
+(:mod:`repro.nn.session`) in long-running request servers.  One
+clock-agnostic state machine, :mod:`repro.serving.core`, owns the whole
+batching contract — admission control, dynamic batching with deadline
+flushing and the load-shedding ladder, worker-death retries, and the
+exactly-once terminal ledger — and two event loops run it:
 
-On top of the virtual-clock core sits the wall-clock socket front-end:
-:mod:`repro.serving.server` (always-on TCP/Unix server with load
-shedding and graceful drain), :mod:`repro.serving.protocol`
-(length-prefixed JSON frames + output digests),
-:mod:`repro.serving.client` (deadline-aware retrying client),
-:mod:`repro.serving.health` (liveness/readiness + counters) and
-:mod:`repro.serving.netfaults` (seeded chaos for the soak harness).
+* :mod:`repro.serving.daemon` — a deterministic virtual-clock event
+  loop whose every run, injected kills included, replays bit for bit;
+* :mod:`repro.serving.server` — an always-on TCP/Unix socket server on
+  the wall clock, with :mod:`repro.serving.protocol` (length-prefixed
+  JSON frames + output digests), :mod:`repro.serving.client`
+  (deadline-aware retrying client), :mod:`repro.serving.health`
+  (liveness/readiness + counters) and :mod:`repro.serving.netfaults`
+  (seeded client-side chaos for the soak harness).
+
+Both take the same :class:`WorkerKill` / :class:`FaultPlan`.
 """
 
 from repro.serving.arrivals import Request, arrival_stream, poisson_arrivals
 from repro.serving.clock import VirtualClock
-from repro.serving.daemon import (
+from repro.serving.core import (
+    ANY_WORKER,
     COMPLETED,
-    DEFAULT_BATCH_OVERHEAD_US,
     FAILED,
+    FLUSH_DEADLINE,
+    FLUSH_DRAIN,
+    FLUSH_FULL,
     REJECTED,
+    BatchingCore,
+    BatchQueue,
+    FaultPlan,
+    ShedPolicy,
+    WorkerKill,
+)
+from repro.serving.daemon import (
+    DEFAULT_BATCH_OVERHEAD_US,
     BatchRecord,
     DaemonReport,
     ServedResponse,
@@ -35,14 +48,8 @@ from repro.serving.client import (
     ServerUnavailable,
     ServingClient,
 )
-from repro.serving.faults import FaultPlan, WorkerKill
 from repro.serving.health import HealthMonitor
-from repro.serving.netfaults import (
-    ANY_WORKER,
-    NetFaultSchedule,
-    ServerFaultPlan,
-    WorkerBatchKill,
-)
+from repro.serving.netfaults import NetFaultSchedule
 from repro.serving.pool import SessionPool
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
@@ -50,13 +57,7 @@ from repro.serving.protocol import (
     ProtocolError,
     functional_run_digest,
 )
-from repro.serving.queue import (
-    FLUSH_DEADLINE,
-    FLUSH_DRAIN,
-    FLUSH_FULL,
-    BatchQueue,
-)
-from repro.serving.server import ServingServer, ShedPolicy, demo_definitions
+from repro.serving.server import ServingServer, demo_definitions
 from repro.serving.stats import (
     REPORTED_PERCENTILES,
     LatencyRecorder,
@@ -67,6 +68,7 @@ __all__ = [
     "ANY_WORKER",
     "BatchQueue",
     "BatchRecord",
+    "BatchingCore",
     "COMPLETED",
     "DEFAULT_BATCH_OVERHEAD_US",
     "DaemonReport",
@@ -87,7 +89,6 @@ __all__ = [
     "RequestBusy",
     "RequestNotServed",
     "ServedResponse",
-    "ServerFaultPlan",
     "ServerUnavailable",
     "ServingClient",
     "ServingDaemon",
@@ -95,7 +96,6 @@ __all__ = [
     "SessionPool",
     "ShedPolicy",
     "VirtualClock",
-    "WorkerBatchKill",
     "WorkerKill",
     "arrival_stream",
     "demo_definitions",

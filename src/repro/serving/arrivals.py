@@ -32,13 +32,17 @@ class Request:
             the session pool's extra definitions).
         image: synthetic image id — the ``image=`` argument of the
             per-image oracle :func:`repro.nn.functional.run_model_functional`.
-        arrival_us: virtual arrival time in microseconds.
+        arrival_us: arrival time in microseconds.
+        deadline_us: the caller's own deadline on the same clock; a
+            request still queued when it passes is answered
+            ``rejected(deadline)`` and never executed (None: no deadline).
     """
 
     request_id: str
     model: str
     image: int
     arrival_us: float
+    deadline_us: "float | None" = None
 
 
 def arrival_stream(seed: int, label: str = "arrivals") -> np.random.Generator:

@@ -38,7 +38,13 @@ import time
 
 from repro.errors import ReproError
 from repro.runtime.retry import RetryPolicy, TransientError, call_with_retry
-from repro.serving.daemon import COMPLETED, FAILED, REJECTED
+from repro.serving.core import (
+    COMPLETED,
+    FAILED,
+    REJECTED,
+    RETRYABLE_FAILURES,
+    RETRYABLE_REJECTIONS,
+)
 from repro.serving.protocol import (
     DRAIN,
     DRAIN_ACK,
@@ -55,10 +61,6 @@ from repro.serving.protocol import (
     make_health,
     make_request,
 )
-
-#: Terminal outcomes a retry can cure.
-RETRYABLE_REJECTIONS = ("queue-full", "draining")
-RETRYABLE_FAILURES = ("no-workers", "worker-died")
 
 
 class ServerUnavailable(TransientError):

@@ -1,4 +1,4 @@
-"""Injectable virtual clock: the determinism anchor of the daemon.
+"""Virtual clock: the determinism anchor of the daemon.
 
 The serving daemon never reads wall time.  Every timestamp it sees —
 request arrivals, queue deadlines, batch completions, fault triggers —

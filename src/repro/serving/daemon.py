@@ -1,13 +1,12 @@
 """The serving daemon: a deterministic event loop over compiled sessions.
 
-:class:`ServingDaemon` turns the one-shot batch fold of
-:mod:`repro.nn.session` into a long-running service: requests arrive on
-a virtual timeline, per-model :class:`~repro.serving.queue.BatchQueue`
-shards accumulate them into dynamic batches (flush on ``batch_cap`` or
-``deadline_us``, whichever first), admission control answers overflow
-and duplicate ids with explicit ``rejected`` responses, and the flushed
-batches are sharded across ``workers`` logical workers, each serving one
-batch at a time through the pool's compiled sessions.
+:class:`ServingDaemon` drives the :class:`~repro.serving.core.BatchingCore`
+on a virtual timeline: requests arrive as events, the core admits them
+into per-model queues and hands due batches to idle logical workers, and
+each batch executes through the pool's compiled sessions.  Admission,
+flushing, retries and the terminal ledger are the core's; this module
+only turns events into core calls and core answers into a
+:class:`DaemonReport`.
 
 Determinism contract
 --------------------
@@ -15,7 +14,7 @@ Determinism contract
 The daemon is a discrete-event simulation wrapped around *real* batch
 execution:
 
-* **Time is virtual.**  Every timestamp comes from the injected
+* **Time is virtual.**  Every timestamp comes from the run's
   :class:`~repro.serving.clock.VirtualClock`; service time is modelled
   from the batch's exact fused OHMMA count on the configured GPU preset
   (plus a fixed per-dispatch ``batch_overhead_us``, which is what makes
@@ -28,35 +27,43 @@ execution:
   carries the actual :class:`~repro.nn.functional.FunctionalModelRun` —
   bit-identical, per image, to
   ``run_model_functional(model, ..., image=i, keep_outputs=True)``
-  whatever the interleaving (the conformance guarantee of PR 6 extended
-  to the concurrent path).
-* **Every caller gets a terminal response.**  Admitted requests either
-  complete or fail; refused requests are rejected at arrival.  Worker
-  deaths re-dispatch in-flight requests to survivors (bounded by
-  ``max_retries``) and fail them terminally when no capacity remains —
-  nothing is ever silently dropped (asserted request-by-request in
-  ``tests/serving/test_fault_injection.py``).
+  whatever the interleaving.
+* **Kills are batch positions.**  A :class:`~repro.serving.core.WorkerKill`
+  fires on a batch sequence number: a ``before-run`` kill when the batch
+  is dispatched (it never executes), an ``after-run`` kill at the
+  batch's completion event (it executed, nothing is delivered).
 
-Event ordering at equal virtual times is fixed (kills, then
-completions, then arrivals, then deadline timers; ties broken by an
-insertion sequence number), so concurrent histories replay exactly.
+Event ordering at equal virtual times is fixed (completions, then
+arrivals, then deadline wake-ups; ties broken by an insertion sequence
+number), so concurrent histories replay exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import ConfigError
 from repro.hw.config import GpuConfig, V100_CONFIG
 from repro.nn.functional import FunctionalModelRun
 from repro.serving.arrivals import Request
 from repro.serving.clock import VirtualClock
-from repro.serving.faults import FaultPlan
+from repro.serving.core import (
+    BEFORE_RUN,
+    COMPLETED,
+    FAILED,
+    REJECTED,
+    Batch,
+    BatchingCore,
+    FaultPlan,
+    ShedPolicy,
+    Terminal,
+)
 from repro.serving.pool import SessionPool
-from repro.serving.queue import BatchQueue
 from repro.serving.stats import LatencyRecorder
 
 #: Modelled fixed cost of dispatching one batch (kernel launch, queue
@@ -64,16 +71,14 @@ from repro.serving.stats import LatencyRecorder
 #: timeline, mirroring why real serving systems batch at all.
 DEFAULT_BATCH_OVERHEAD_US = 50.0
 
-#: Terminal response statuses.
-COMPLETED = "completed"
-REJECTED = "rejected"
-FAILED = "failed"
+#: The daemon's ladder never shrinks a batch: it always flushes at
+#: ``batch_cap``, and refuses only a full queue.
+NO_SHED = ShedPolicy(cap_divisor=1)
 
 # Event priorities at equal virtual times (see module docstring).
-_PRIO_KILL = 0
-_PRIO_COMPLETE = 1
-_PRIO_ARRIVAL = 2
-_PRIO_DEADLINE = 3
+_PRIO_COMPLETE = 0
+_PRIO_ARRIVAL = 1
+_PRIO_WAKE = 2
 
 
 @dataclass(frozen=True)
@@ -86,9 +91,8 @@ class ServedResponse:
         finish_us: virtual time of the terminal event.
         latency_us: ``finish_us - arrival_us`` for completed requests,
             ``0.0`` otherwise.
-        reason: why a request was rejected (``queue-full``,
-            ``duplicate``, ``unknown-model``) or failed
-            (``worker-died``, ``no-workers``); empty when completed.
+        reason: why a request was rejected or failed (see
+            :mod:`repro.serving.core`); empty when completed.
         result: the per-image functional run (outputs + DeviceStats),
             present only on completed responses.
         worker: serving worker id (completed responses only).
@@ -162,22 +166,12 @@ class DaemonReport:
         return len(self.completed) / (self.makespan_us * 1e-6)
 
 
-@dataclass
-class _Worker:
-    """One logical serving worker."""
-
-    worker_id: int
-    alive: bool = True
-    token: int = 0  # increments per dispatch; stale completions no-op
-    busy: bool = False
-    inflight: "tuple | None" = None  # (batch, record, run)
-
-
 class ServingDaemon:
     """Dynamic-batching request daemon over a compiled-session pool.
 
     Args:
-        pool: per-model compiled sessions (weights encoded once).
+        pool: per-model compiled sessions (weights encoded once); its
+            :meth:`~SessionPool.known_models` are the serve list.
         batch_cap: maximum requests per flushed batch.
         deadline_us: maximum wait of the oldest pending request before a
             partial batch flushes.
@@ -186,10 +180,9 @@ class ServingDaemon:
         config: GPU preset converting exact fused OHMMA counts into the
             modelled service time.
         batch_overhead_us: fixed modelled per-dispatch cost.
-        faults: scheduled worker deaths (see :mod:`repro.serving.faults`).
+        faults: worker kills by batch sequence number.
         max_retries: additional dispatch attempts a request interrupted
             by a worker death is granted before failing terminally.
-        clock: injectable virtual clock (a fresh one per run by default).
     """
 
     def __init__(
@@ -203,29 +196,22 @@ class ServingDaemon:
         batch_overhead_us: float = DEFAULT_BATCH_OVERHEAD_US,
         faults: "FaultPlan | None" = None,
         max_retries: int = 1,
-        clock: "VirtualClock | None" = None,
     ) -> None:
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
-        if max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
         if batch_overhead_us < 0:
             raise ConfigError(
                 f"batch_overhead_us must be >= 0, got {batch_overhead_us}"
             )
         self.pool = pool
-        self.batch_cap = int(batch_cap)
-        self.deadline_us = float(deadline_us)
-        self.queue_depth = int(queue_depth)
-        self.worker_count = int(workers)
         self.config = config or V100_CONFIG
         self.batch_overhead_us = float(batch_overhead_us)
-        self.faults = faults or FaultPlan()
-        self.max_retries = int(max_retries)
-        self.clock = clock
-        # Validate the queue geometry once, eagerly.
-        BatchQueue("__validate__", self.batch_cap, self.deadline_us,
-                   self.queue_depth)
+        # Every run starts from a fresh core; building one here validates
+        # the configuration eagerly.
+        self._core_args = dict(
+            models=pool.known_models(), batch_cap=batch_cap,
+            deadline_us=deadline_us, queue_depth=queue_depth, workers=workers,
+            max_retries=max_retries, shed=NO_SHED, faults=faults,
+        )
+        BatchingCore(**self._core_args)
 
     # ------------------------------------------------------------------ #
     # Run
@@ -237,237 +223,123 @@ class ServingDaemon:
         virtual clock and returns only when every admitted request has a
         terminal response.
         """
-        clock = self.clock or VirtualClock()
-        queues: "dict[str, BatchQueue]" = {}
-        workers = [_Worker(worker_id=i) for i in range(self.worker_count)]
+        clock = VirtualClock()
+        core = BatchingCore(**self._core_args)
         responses: list[ServedResponse] = []
         batches: list[BatchRecord] = []
-        latency = LatencyRecorder()
-        latency_by_model: "dict[str, LatencyRecorder]" = {}
-        seen_ids: set[str] = set()
-        attempts: "dict[str, int]" = {}
         wall_seconds = 0.0
-
         events: list = []
-        seq = 0
+        order = itertools.count()
 
-        def push(when_us: float, priority: int, kind: str, payload) -> None:
-            nonlocal seq
-            heapq.heappush(events, (when_us, priority, seq, kind, payload))
-            seq += 1
+        def push(when_us: float, priority: int, payload) -> None:
+            heapq.heappush(events, (when_us, priority, next(order), payload))
 
-        ordered = sorted(
+        for _, request in sorted(
             enumerate(requests), key=lambda pair: (pair[1].arrival_us, pair[0])
-        )
-        for _, request in ordered:
-            push(request.arrival_us, _PRIO_ARRIVAL, "arrival", request)
-        for kill in self.faults.kills_sorted():
-            push(kill.at_us, _PRIO_KILL, "kill", kill.worker)
+        ):
+            push(request.arrival_us, _PRIO_ARRIVAL, request)
 
-        # ---------------- event handlers ---------------- #
-        def queue_for(model: str) -> BatchQueue:
-            queue = queues.get(model)
-            if queue is None:
-                queue = BatchQueue(
-                    model, self.batch_cap, self.deadline_us, self.queue_depth
-                )
-                queues[model] = queue
-            return queue
+        def wake(models: Iterable[str]) -> None:
+            """Wake the dispatcher when these models' new heads come due.
 
-        def schedule_head_deadline(queue: BatchQueue) -> None:
-            deadline = queue.head_deadline_us()
-            if deadline is not None:
-                # A head that waited through a busy worker may already be
-                # overdue; it is due *now*, never in the past.
-                push(
-                    max(deadline, clock.now_us),
-                    _PRIO_DEADLINE, "deadline", queue.model,
-                )
+            A head that waited through a busy worker may already be
+            overdue; it is due *now*, never in the past.
+            """
+            for model in models:
+                deadline = core.head_deadline_us(model)
+                if deadline is not None:
+                    push(max(deadline, clock.now_us), _PRIO_WAKE, None)
 
-        def terminal(response: ServedResponse) -> None:
-            responses.append(response)
-            if response.status == COMPLETED:
-                latency.record(response.latency_us)
-                latency_by_model.setdefault(
-                    response.request.model, LatencyRecorder()
-                ).record(response.latency_us)
+        def respond(terminals: "list[Terminal]", batch=None, run=None) -> None:
+            for terminal in terminals:
+                request = terminal.request
+                served = {}
+                if terminal.status == COMPLETED:
+                    served = dict(
+                        latency_us=clock.now_us - request.arrival_us,
+                        result=run.per_image[batch.requests.index(request)],
+                        worker=batch.worker,
+                        batch_size=len(batch.requests),
+                        flush_cause=batch.cause,
+                    )
+                responses.append(ServedResponse(
+                    request=request, status=terminal.status,
+                    finish_us=clock.now_us, reason=terminal.reason,
+                    attempts=terminal.attempts, **served,
+                ))
 
-        def idle_worker() -> "_Worker | None":
-            for worker in workers:
-                if worker.alive and not worker.busy:
-                    return worker
-            return None
-
-        def dispatch(queue: BatchQueue, worker: _Worker, cause: str,
-                     now_us: float) -> None:
-            nonlocal wall_seconds
-            batch = queue.take_batch()
-            schedule_head_deadline(queue)  # the next head starts waiting
-            session = self.pool.session(queue.model)
-            wall_start = time.perf_counter()
-            run = session.run([request.image for request in batch])
-            wall_seconds += time.perf_counter() - wall_start
-            service_us = self.batch_overhead_us + self.config.cycles_to_us(
-                run.ohmma_issued / self.config.ohmma_slots_per_cycle
-            )
-            record = BatchRecord(
-                model=queue.model,
-                worker=worker.worker_id,
-                images=tuple(request.image for request in batch),
-                flush_cause=cause,
-                dispatch_us=now_us,
+        def record(batch: Batch, service_us: float, completed: bool) -> BatchRecord:
+            return BatchRecord(
+                model=batch.model,
+                worker=batch.worker,
+                images=tuple(request.image for request in batch.requests),
+                flush_cause=batch.cause,
+                dispatch_us=clock.now_us,
                 service_us=service_us,
-                completed=False,
-            )
-            for request in batch:
-                attempts[request.request_id] = (
-                    attempts.get(request.request_id, 0) + 1
-                )
-            worker.busy = True
-            worker.token += 1
-            worker.inflight = (batch, record, run)
-            push(
-                now_us + service_us,
-                _PRIO_COMPLETE,
-                "complete",
-                (worker.worker_id, worker.token),
+                completed=completed,
             )
 
-        def drain(now_us: float) -> None:
-            """Flush every due batch an idle worker can take."""
-            progressed = True
-            while progressed:
-                progressed = False
-                for queue in queues.values():
-                    cause = queue.due_cause(now_us)
-                    if cause is None:
+        def died(batch: Batch) -> None:
+            respond(core.worker_died(batch, clock.now_us))
+            wake((batch.model,))
+
+        def dispatch() -> None:
+            """Hand every due batch to an idle worker."""
+            nonlocal wall_seconds
+            while True:
+                idle = core.idle_workers()
+                if not idle:
+                    return
+                batch, expired = core.take(idle[0], clock.now_us)
+                respond(expired)
+                wake(dict.fromkeys(t.request.model for t in expired))
+                if batch is None:
+                    if expired:
                         continue
-                    worker = idle_worker()
-                    if worker is None:
-                        return
-                    dispatch(queue, worker, cause, now_us)
-                    progressed = True
-
-        def on_arrival(request: Request, now_us: float) -> None:
-            if request.request_id in seen_ids:
-                terminal(ServedResponse(
-                    request=request, status=REJECTED, finish_us=now_us,
-                    reason="duplicate",
-                ))
-                return
-            try:
-                self.pool.definition(request.model)
-            except ConfigError:
-                terminal(ServedResponse(
-                    request=request, status=REJECTED, finish_us=now_us,
-                    reason="unknown-model",
-                ))
-                return
-            queue = queue_for(request.model)
-            was_empty = len(queue) == 0
-            if not queue.offer(request):
-                terminal(ServedResponse(
-                    request=request, status=REJECTED, finish_us=now_us,
-                    reason="queue-full",
-                ))
-                return
-            seen_ids.add(request.request_id)
-            if was_empty:
-                schedule_head_deadline(queue)
-            drain(now_us)
-
-        def on_complete(worker_id: int, token: int, now_us: float) -> None:
-            worker = workers[worker_id]
-            if not worker.alive or worker.token != token:
-                return  # stale: the worker died mid-batch
-            batch, record, run = worker.inflight
-            worker.busy = False
-            worker.inflight = None
-            batches.append(
-                BatchRecord(
-                    model=record.model, worker=record.worker,
-                    images=record.images, flush_cause=record.flush_cause,
-                    dispatch_us=record.dispatch_us,
-                    service_us=record.service_us, completed=True,
+                    return
+                wake((batch.model,))  # the next head starts waiting
+                if batch.kill is not None and batch.kill.at == BEFORE_RUN:
+                    batches.append(record(batch, 0.0, completed=False))
+                    died(batch)
+                    continue
+                wall_start = time.perf_counter()
+                run = self.pool.session(batch.model).run(
+                    [request.image for request in batch.requests]
                 )
-            )
-            for index, request in enumerate(batch):
-                terminal(ServedResponse(
-                    request=request,
-                    status=COMPLETED,
-                    finish_us=now_us,
-                    latency_us=now_us - request.arrival_us,
-                    result=run.per_image[index],
-                    worker=worker_id,
-                    batch_size=len(batch),
-                    flush_cause=record.flush_cause,
-                    attempts=attempts[request.request_id],
-                ))
-            drain(now_us)
-
-        def on_kill(worker_id: int, now_us: float) -> None:
-            if worker_id >= len(workers):
-                raise ConfigError(
-                    f"fault plan kills worker {worker_id} but only "
-                    f"{len(workers)} exist"
+                wall_seconds += time.perf_counter() - wall_start
+                service_us = self.batch_overhead_us + self.config.cycles_to_us(
+                    run.ohmma_issued / self.config.ohmma_slots_per_cycle
                 )
-            worker = workers[worker_id]
-            if not worker.alive:
-                return
-            worker.alive = False
-            inflight, worker.inflight, worker.busy = worker.inflight, None, False
-            if inflight is None:
-                return
-            batch, record, _ = inflight
-            batches.append(record)  # completed=False: interrupted mid-batch
-            survivors = []
-            for request in batch:
-                if attempts[request.request_id] > self.max_retries:
-                    terminal(ServedResponse(
-                        request=request, status=FAILED, finish_us=now_us,
-                        reason="worker-died",
-                        attempts=attempts[request.request_id],
-                    ))
-                else:
-                    survivors.append(request)
-            if survivors:
-                queue = queue_for(record.model)
-                queue.requeue_front(tuple(survivors))
-                schedule_head_deadline(queue)
-            drain(now_us)
+                push(
+                    clock.now_us + service_us, _PRIO_COMPLETE,
+                    (batch, run, record(batch, service_us, completed=False)),
+                )
 
         # ---------------- event loop ---------------- #
         while events:
-            when_us, _, _, kind, payload = heapq.heappop(events)
+            when_us, priority, _, payload = heapq.heappop(events)
             clock.advance_to(when_us)
-            if kind == "arrival":
-                on_arrival(payload, clock.now_us)
-            elif kind == "complete":
-                on_complete(payload[0], payload[1], clock.now_us)
-            elif kind == "kill":
-                on_kill(payload, clock.now_us)
-            else:  # deadline timer: just wake the dispatcher
-                drain(clock.now_us)
-
-        # Requests still pending can only mean no worker survived (every
-        # queue head always has a deadline event, so the loop cannot end
-        # with pending work while capacity exists).  Give each caller its
-        # terminal answer anyway.
-        any_alive = any(worker.alive for worker in workers)
-        for queue in queues.values():
-            for request in queue.pending:
-                terminal(ServedResponse(
-                    request=request, status=FAILED,
-                    finish_us=clock.now_us,
-                    reason="no-workers" if not any_alive else "stalled",
-                    attempts=attempts.get(request.request_id, 0),
-                ))
+            if priority == _PRIO_ARRIVAL:
+                refusal = core.admit(payload, clock.now_us)
+                if refusal is not None:
+                    respond([refusal])
+                    continue
+                wake((payload.model,))
+            elif priority == _PRIO_COMPLETE:
+                batch, run, dispatched = payload
+                if batch.kill is not None:  # after-run: died before delivering
+                    batches.append(dispatched)
+                    died(batch)
+                else:
+                    batches.append(dataclasses.replace(dispatched, completed=True))
+                    respond(core.complete(batch, clock.now_us), batch, run)
+            dispatch()
 
         return DaemonReport(
             responses=tuple(responses),
             batches=tuple(batches),
-            latency=latency,
-            latency_by_model=latency_by_model,
+            latency=core.latency,
+            latency_by_model=core.latency_by_model,
             makespan_us=clock.now_us,
             wall_execute_seconds=wall_seconds,
         )

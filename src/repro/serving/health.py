@@ -22,6 +22,7 @@ from __future__ import annotations
 import threading
 
 from repro.errors import ConfigError
+from repro.serving.core import COMPLETED, FAILED, REJECTED
 
 #: Lifecycle states, in order.
 STARTING = "starting"
@@ -32,6 +33,8 @@ STOPPED = "stopped"
 _ORDER = (STARTING, READY, DRAINING, STOPPED)
 
 #: Counters every monitor starts with (extended freely via increment).
+#: The core's own tallies (``retries``, ``violations``) join them in the
+#: server's health answer.
 _BASE_COUNTERS = (
     "connections",
     "handshakes",
@@ -42,10 +45,16 @@ _BASE_COUNTERS = (
     "failed",
     "rejected_deadline",
     "batches",
-    "retries",
     "undeliverable",
-    "violations",
 )
+
+#: The counter each ledgered terminal status bumps (a ledgered rejection
+#: is always a request whose own deadline expired in the queue).
+TERMINAL_COUNTERS = {
+    COMPLETED: "completed",
+    FAILED: "failed",
+    REJECTED: "rejected_deadline",
+}
 
 
 class HealthMonitor:

@@ -1,13 +1,10 @@
-"""Seeded chaos for the wall-clock serving front-end.
+"""Seeded client-side chaos for the wall-clock serving front-end.
 
-The virtual-clock daemon schedules faults *on the timeline*
-(:mod:`repro.serving.faults`); the socket server lives on the wall
-clock, where "at microsecond 1200" is not replayable.  Chaos here is
-therefore anchored to *logical positions* instead of times:
+On the wall clock "at microsecond 1200" is not replayable, so chaos is
+anchored to *logical positions* instead of times.  Worker kills are
+batch positions (:class:`repro.serving.core.WorkerKill`, shared with
+the virtual-clock daemon); this module covers the client side:
 
-* :class:`WorkerBatchKill` kills a server worker when it picks up its
-  N-th batch (before or after the session runs — "after" models a crash
-  between compute and response delivery, so the retry must recompute);
 * :class:`NetFaultSchedule` assigns each logical client request one
   fault kind (drop the connection before/after sending, prepend a
   garbage or truncated frame, dribble the bytes out slowly) drawn from
@@ -25,7 +22,7 @@ import socket
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -48,83 +45,6 @@ CLIENT_FAULT_KINDS = (
     FAULT_TRUNCATE,
     FAULT_SLOW,
 )
-
-
-# --------------------------------------------------------------------- #
-# Server-side: worker kills by batch sequence
-# --------------------------------------------------------------------- #
-#: Wildcard worker index: the kill fires on the *server-global*
-#: ``batch_seq``-th dispatched batch, whichever worker takes it.  This
-#: is what makes "the first batch dies, the survivor recomputes"
-#: deterministic — worker threads race for batches, so a per-worker kill
-#: on a specific worker may simply never fire.
-ANY_WORKER = -1
-
-
-@dataclass(frozen=True)
-class WorkerBatchKill:
-    """Kill one server worker on its ``batch_seq``-th dispatched batch.
-
-    Attributes:
-        worker: worker index (0-based), or :data:`ANY_WORKER` to match
-            whichever worker takes the server-global ``batch_seq``-th
-            batch.
-        batch_seq: 1-based count of batches picked up — per worker for a
-            concrete worker index, server-global for :data:`ANY_WORKER`;
-            the kill fires on that batch.
-        at: ``"before-run"`` (the batch never executes) or
-            ``"after-run"`` (it executed, but the worker dies before any
-            response is delivered — the retry recomputes, which is safe
-            because a session run is a pure function of its images).
-    """
-
-    worker: int
-    batch_seq: int
-    at: str = "before-run"
-
-    def __post_init__(self) -> None:
-        if self.worker < ANY_WORKER:
-            raise ConfigError(
-                f"worker index must be >= 0 (or {ANY_WORKER} for any "
-                f"worker), got {self.worker}"
-            )
-        if self.batch_seq < 1:
-            raise ConfigError(
-                f"batch_seq is 1-based, got {self.batch_seq}"
-            )
-        if self.at not in ("before-run", "after-run"):
-            raise ConfigError(
-                f"at must be 'before-run' or 'after-run', got {self.at!r}"
-            )
-
-
-@dataclass(frozen=True)
-class ServerFaultPlan:
-    """Every injected fault of one server lifetime."""
-
-    worker_kills: tuple[WorkerBatchKill, ...] = ()
-
-    def kill_for(
-        self, worker: int, batch_seq: int, global_seq: "int | None" = None
-    ) -> "WorkerBatchKill | None":
-        """The kill firing when ``worker`` takes its ``batch_seq``-th batch.
-
-        Args:
-            worker: the taking worker's index.
-            batch_seq: that worker's 1-based batch count.
-            global_seq: the server-global 1-based batch count, matched
-                against :data:`ANY_WORKER` kills.
-        """
-        for kill in self.worker_kills:
-            if kill.worker == worker and kill.batch_seq == batch_seq:
-                return kill
-            if (
-                kill.worker == ANY_WORKER
-                and global_seq is not None
-                and kill.batch_seq == global_seq
-            ):
-                return kill
-        return None
 
 
 # --------------------------------------------------------------------- #
@@ -288,17 +208,3 @@ def slow_send(
         sock.sendall(data[start:start + chunk])
         if delay_s > 0:
             time.sleep(delay_s)
-
-
-def default_chaos_rates(kinds: "Sequence[str] | None" = None) -> dict:
-    """The soak harness's default fault mix, optionally restricted."""
-    rates = {
-        FAULT_DROP_BEFORE: 0.06,
-        FAULT_DROP_AFTER: 0.06,
-        FAULT_GARBAGE: 0.08,
-        FAULT_TRUNCATE: 0.06,
-        FAULT_SLOW: 0.06,
-    }
-    if kinds is None:
-        return rates
-    return {kind: rate for kind, rate in rates.items() if kind in kinds}

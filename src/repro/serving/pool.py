@@ -2,12 +2,10 @@
 
 The daemon never calls :func:`repro.nn.session.compile_model` on the
 request path.  A :class:`SessionPool` owns one :class:`CompiledModel`
-per served model — compiled lazily on first use or eagerly (optionally
-across worker processes, via the sweep runtime's pool helper
-:func:`repro.runtime.executor.make_pool`) with :meth:`warm` — and every
-batch of requests for that model reuses the session's encoded weight
-operands and the memoized synthetic operand streams of
-:mod:`repro.nn.synthetic`.
+per served model — compiled lazily on first use or eagerly with
+:meth:`warm` — and every batch of requests for that model reuses the
+session's encoded weight operands and the memoized synthetic operand
+streams of :mod:`repro.nn.synthetic`.
 
 Per-model data scales default to the zoo's benchmark metadata
 (:func:`repro.nn.models.get_benchmark_scale`), the same source of truth
@@ -20,18 +18,11 @@ from __future__ import annotations
 from typing import Mapping, Sequence, TYPE_CHECKING
 
 from repro.core.spgemm_warp import WarpTileConfig
-from repro.errors import ConfigError
 from repro.nn.models import ModelDefinition, get_benchmark_scale, get_model
 from repro.nn.session import CompiledModel, compile_model
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runtime.retry import RetryPolicy
-
-
-def _compile_entry(payload: tuple) -> tuple[str, CompiledModel]:
-    """Worker entry for parallel warm-up: compile one model, ship it back."""
-    name, definition, kwargs = payload
-    return name, compile_model(definition, **kwargs)
 
 
 class SessionPool:
@@ -91,17 +82,6 @@ class SessionPool:
             return self.definitions[model].benchmark_scale
         return get_benchmark_scale(model)
 
-    def _compile_kwargs(self, model: str) -> dict:
-        return {
-            "scale": self.scale_for(model),
-            "seed": self.seed,
-            "tile_config": self.tile_config,
-            "backend": self.backend,
-            "element_bytes": self.element_bytes,
-            "memo": self.memo,
-            "pruning": self.pruning,
-        }
-
     def known_models(self) -> tuple[str, ...]:
         """Every name this pool can resolve: extras first, then the zoo.
 
@@ -130,7 +110,14 @@ class SessionPool:
         session = self._sessions.get(model)
         if session is None:
             session = compile_model(
-                self.definition(model), **self._compile_kwargs(model)
+                self.definition(model),
+                scale=self.scale_for(model),
+                seed=self.seed,
+                tile_config=self.tile_config,
+                backend=self.backend,
+                element_bytes=self.element_bytes,
+                memo=self.memo,
+                pruning=self.pruning,
             )
             self._sessions[model] = session
         return session
@@ -138,75 +125,20 @@ class SessionPool:
     def warm(
         self,
         models: Sequence[str],
-        jobs: int = 1,
         policy: "RetryPolicy | None" = None,
     ) -> None:
-        """Eagerly compile sessions, optionally across worker processes.
-
-        With ``jobs > 1`` the compilations are sharded over a process
-        pool (:func:`repro.runtime.executor.make_pool`); the compiled
-        sessions are shipped back whole — encoded operands are plain
-        array-backed dataclasses — so the daemon still serves them
-        bit-identically to an in-process compile.
+        """Eagerly compile sessions, in order, each name once.
 
         With a ``policy`` (:class:`repro.runtime.retry.RetryPolicy`),
         compiles that fail with a :class:`repro.runtime.retry.TransientError`
         are retried under the same bounded-retry/backoff discipline the
         sweep executor uses, instead of failing the whole warm-up on the
-        first error.  A parallel first attempt counts against the
-        budget; the surviving retries run in-process.  Permanent errors
-        still propagate immediately.
+        first error.  Permanent errors still propagate immediately.
         """
-        if jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        missing = [name for name in models if name not in self._sessions]
-        # Deduplicate while preserving order; compiling twice is wasteful
-        # but recompiling *the same* name in two workers is outright lost
-        # work.
-        missing = list(dict.fromkeys(missing))
-        if not missing:
-            return
-        if jobs == 1 or len(missing) == 1:
-            for name in missing:
-                self._compile_with_retry(name, policy)
-            return
-        from repro.runtime.executor import make_pool
-        from repro.runtime.retry import TransientError
+        for name in dict.fromkeys(models):
+            if policy is None:
+                self.session(name)
+            else:
+                from repro.runtime.retry import call_with_retry
 
-        payloads = [
-            (name, self.definition(name), self._compile_kwargs(name))
-            for name in missing
-        ]
-        flaky: "list[str]" = []
-        with make_pool(min(jobs, len(payloads))) as pool:
-            handles = [
-                (payload[0], pool.apply_async(_compile_entry, (payload,)))
-                for payload in payloads
-            ]
-            for name, handle in handles:
-                try:
-                    compiled_name, session = handle.get()
-                except TransientError:
-                    if policy is None or policy.max_retries < 1:
-                        raise
-                    flaky.append(name)
-                else:
-                    self._sessions[compiled_name] = session
-        for name in flaky:
-            self._compile_with_retry(name, policy, attempts_used=1)
-
-    def _compile_with_retry(
-        self,
-        name: str,
-        policy: "RetryPolicy | None",
-        attempts_used: int = 0,
-    ) -> None:
-        """Compile one session, retrying transient failures under ``policy``."""
-        if policy is None:
-            self.session(name)
-            return
-        from repro.runtime.retry import call_with_retry
-
-        call_with_retry(
-            lambda: self.session(name), policy, attempts_used=attempts_used
-        )
+                call_with_retry(lambda: self.session(name), policy)

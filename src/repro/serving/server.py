@@ -1,49 +1,33 @@
-"""Wall-clock socket serving front-end over the daemon's batching core.
+"""Wall-clock socket serving front-end over the batching core.
 
 The virtual-clock :class:`~repro.serving.daemon.ServingDaemon` proves
 the batching discipline deterministically; this module is the piece
 that actually *listens*: a TCP / Unix-domain-socket server speaking the
-length-prefixed JSON protocol of :mod:`repro.serving.protocol`, feeding
-the same per-model :class:`~repro.serving.queue.BatchQueue` discipline
-(flush on ``batch_cap`` or head-age ``deadline_ms``, whichever first)
-and the same compiled-session pool — so a completed response carries a
-digest of the *real* :meth:`CompiledModel.run` output, bit-identical to
-the per-image functional oracle.
+length-prefixed JSON protocol of :mod:`repro.serving.protocol` and
+driving the same :class:`~repro.serving.core.BatchingCore` — admission,
+flushing, per-request deadlines, worker-death retries and the
+exactly-once terminal ledger are the core's, stated once in
+:mod:`repro.serving.core` — over the same compiled-session pool, so a
+completed response carries a digest of the *real*
+:meth:`CompiledModel.run` output, bit-identical to the per-image
+functional oracle.
 
-Robustness model
-----------------
+What this module adds on the wall clock:
 
-* **Terminal-response contract.**  Every *accepted* request reaches
-  exactly one terminal response — ``completed``, ``rejected`` or
-  ``failed`` — enforced by a per-lifetime ledger; a second terminal for
-  the same id is counted as a ``violations`` invariant breach (asserted
-  zero by the soak harness) and never sent.  Admission refusals
-  (duplicate, unknown model, queue full, draining) answer immediately
-  with ``rejected`` before the request is ever accepted.
-* **Backpressure.**  Queues are bounded (``queue_depth`` per model);
-  overflow answers ``rejected(queue-full)`` with a ``retry_after_ms``
-  hint derived from the observed per-request service time, instead of
-  queueing unboundedly.
-* **Load-shedding ladder.**  Driven by queue depth
-  (:class:`ShedPolicy`): level 0 serves normally; level 1 (queue at
-  least ``soft_fraction`` full) shrinks the effective batch cap so
-  batches flush earlier and waiting time stops growing; level 2 (queue
-  full) rejects new work outright.
-* **Per-request deadlines.**  A client-propagated ``deadline_ms`` is
-  checked at admission and again when the batch is formed; an expired
-  request is answered ``rejected(deadline)`` and never executed.
-  Requests already dispatched are not cancelled mid-batch.
+* **Threads and locking.**  One thread per connection and per worker;
+  the core runs under one condition variable, and every socket send
+  happens *outside* it, so a stalled peer costs its own connection,
+  never the batching loop.
+* **Backpressure hints.**  A retryable refusal (``queue-full``,
+  ``draining``) carries ``retry_after_ms``, derived from the observed
+  per-request service time (an EMA) times the backlog.
 * **Graceful drain vs hard kill.**  SIGTERM (or a ``drain`` frame)
-  stops admission (``rejected(draining)``), flushes every pending queue
-  (flush cause ``drain``), finishes in-flight batches, then exits 0.  A
-  SIGKILL tears the process down mid-flight; recovery is the *client's*
-  deadline-aware retry against a restarted server (exercised in
-  ``tests/serving/test_soak.py``).
-* **Worker faults.**  An injected :class:`WorkerBatchKill` kills a
-  worker thread as it takes (or finishes computing) a batch; the
-  interrupted requests are re-queued at the front (bounded by
-  ``max_retries``) or failed terminally — mirroring the virtual-clock
-  daemon's semantics on the wall clock.
+  stops admission, flushes every pending queue, finishes in-flight
+  batches, then exits 0.  A SIGKILL tears the process down mid-flight;
+  recovery is the *client's* deadline-aware retry against a restarted
+  server (exercised in ``tests/serving/test_soak.py``).
+* **Worker faults.**  An injected :class:`~repro.serving.core.WorkerKill`
+  ends a worker thread as it takes (or finishes computing) a batch.
 
 Run it as a process::
 
@@ -63,14 +47,20 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.kernels.layer_spec import ConvLayerSpec, GemmLayerSpec
 from repro.nn.models import ModelDefinition
-from repro.serving.daemon import COMPLETED, FAILED, REJECTED
-from repro.serving.health import HealthMonitor
-from repro.serving.netfaults import ServerFaultPlan, WorkerBatchKill
+from repro.serving.arrivals import Request
+from repro.serving.core import (
+    BEFORE_RUN,
+    RETRYABLE_REJECTIONS,
+    BatchingCore,
+    FaultPlan,
+    ShedPolicy,
+    WorkerKill,
+)
+from repro.serving.health import TERMINAL_COUNTERS, HealthMonitor
 from repro.serving.pool import SessionPool
 from repro.serving.protocol import (
     DRAIN,
@@ -90,13 +80,6 @@ from repro.serving.protocol import (
     parse_request,
     recv_frames,
 )
-from repro.serving.queue import (
-    FLUSH_DEADLINE,
-    FLUSH_DRAIN,
-    FLUSH_FULL,
-    BatchQueue,
-)
-from repro.serving.stats import LatencyRecorder
 from repro.utils.blas import (
     blas_thread_counts,
     cap_blas_threads,
@@ -112,60 +95,6 @@ DEFAULT_SERVICE_ESTIMATE_MS = 5.0
 def _now_us() -> float:
     """Monotonic wall time in microseconds (never wall-calendar time)."""
     return time.monotonic() * 1e6
-
-
-@dataclass(frozen=True)
-class ShedPolicy:
-    """The degradation ladder, driven by per-model queue depth.
-
-    Attributes:
-        soft_fraction: queue utilization at which level 1 engages.
-        cap_divisor: the batch cap shrink factor at level >= 1.
-    """
-
-    soft_fraction: float = 0.5
-    cap_divisor: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.soft_fraction <= 1.0:
-            raise ConfigError(
-                f"soft_fraction must be in (0, 1], got {self.soft_fraction}"
-            )
-        if self.cap_divisor < 1:
-            raise ConfigError(
-                f"cap_divisor must be >= 1, got {self.cap_divisor}"
-            )
-
-    def level(self, depth: int, queue_depth: int) -> int:
-        """0 = normal, 1 = shrink the batch cap, 2 = reject new work."""
-        if depth >= queue_depth:
-            return 2
-        if depth >= self.soft_fraction * queue_depth:
-            return 1
-        return 0
-
-    def effective_cap(self, batch_cap: int, level: int) -> int:
-        """The flush cap at a shed level (never below one)."""
-        if level >= 1:
-            return max(1, batch_cap // self.cap_divisor)
-        return batch_cap
-
-
-@dataclass(slots=True)
-class PendingRequest:
-    """One accepted wire request waiting in (or taken from) a queue.
-
-    Duck-types the ``arrival_us`` attribute :class:`BatchQueue` orders
-    by, so the wall-clock server reuses the daemon's queue unchanged.
-    """
-
-    request_id: str
-    model: str
-    image: int
-    arrival_us: float
-    deadline_us: "float | None"
-    conn: "_Connection"
-    attempts: int = 0
 
 
 class _Connection:
@@ -226,7 +155,7 @@ class ServingServer:
         max_retries: extra dispatches a request interrupted by a worker
             death is granted before failing terminally.
         shed: the load-shedding ladder (:class:`ShedPolicy`).
-        faults: injected worker kills (:class:`ServerFaultPlan`).
+        faults: injected worker kills (:class:`FaultPlan`).
     """
 
     def __init__(
@@ -240,12 +169,8 @@ class ServingServer:
         workers: int = 2,
         max_retries: int = 1,
         shed: "ShedPolicy | None" = None,
-        faults: "ServerFaultPlan | None" = None,
+        faults: "FaultPlan | None" = None,
     ) -> None:
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
-        if max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
         self.pool = pool
         self.requested_address = address
         self.models = tuple(models) if models is not None else pool.known_models()
@@ -253,28 +178,21 @@ class ServingServer:
         self.deadline_ms = float(deadline_ms)
         self.queue_depth = int(queue_depth)
         self.worker_count = int(workers)
-        self.max_retries = int(max_retries)
-        self.shed = shed or ShedPolicy()
-        self.faults = faults or ServerFaultPlan()
         self.monitor = HealthMonitor()
-        # Validate the queue geometry once, eagerly (same trick as the
-        # virtual-clock daemon).
-        BatchQueue(
-            "__validate__", self.batch_cap, self.deadline_ms * 1000.0,
-            self.queue_depth,
+        self._core = BatchingCore(
+            models=self.models,
+            batch_cap=self.batch_cap,
+            deadline_us=self.deadline_ms * 1000.0,
+            queue_depth=self.queue_depth,
+            workers=self.worker_count,
+            max_retries=int(max_retries),
+            shed=shed or ShedPolicy(),
+            faults=faults,
         )
 
         self._cond = threading.Condition()
-        self._queues: "dict[str, BatchQueue]" = {}
-        self._seen: set[str] = set()
-        self._terminals: "dict[str, str]" = {}
-        self._latency = LatencyRecorder()
-        self._inflight = 0
-        self._live_workers = self.worker_count
-        self._worker_batches = [0] * self.worker_count
-        self._global_batches = 0
+        self._conns: "dict[str, _Connection]" = {}  # admitted id -> caller
         self._service_ms_ema: "float | None" = None
-        self._draining = False
         self._stopping = False
         self._blas_saved: "dict[str, int] | None" = None
 
@@ -331,9 +249,9 @@ class ServingServer:
         Idempotent; callable from a signal handler or a ``drain`` frame.
         """
         with self._cond:
-            if self._draining:
+            if self._core.draining:
                 return
-            self._draining = True
+            self._core.drain()
             self._cond.notify_all()
         self.monitor.begin_drain()
 
@@ -360,6 +278,7 @@ class ServingServer:
         """Hard stop (test teardown): no terminal-response guarantees."""
         with self._cond:
             self._stopping = True
+            self._core.drain()
             self._cond.notify_all()
         self._teardown()
 
@@ -454,67 +373,36 @@ class ServingServer:
     def _handle_request(self, conn: _Connection, message: dict) -> None:
         request_id, model, image, deadline_ms = parse_request(message)
         now = _now_us()
-        preq = PendingRequest(
+        request = Request(
             request_id=request_id,
             model=model,
             image=image,
             arrival_us=now,
             deadline_us=None if deadline_ms is None else now + deadline_ms * 1000.0,
-            conn=conn,
         )
         with self._cond:
-            reason = self._admit_locked(preq, now)
-            if reason is None:
+            refusal = self._core.admit(request, now)
+            if refusal is None:
+                self._conns[request_id] = conn
                 self.monitor.increment("accepted")
                 self._cond.notify_all()
                 return
             self.monitor.increment("refused")
-            frame = self._response(preq, REJECTED, reason=reason)
-            if reason in ("queue-full", "draining"):
+            frame = self._response(refusal)
+            if refusal.reason in RETRYABLE_REJECTIONS:
                 frame["retry_after_ms"] = self._retry_after_ms_locked(model)
         # Sends never run under the server lock: a stalled peer costs
         # its own connection, not the batching loop.
-        self._deliver([(preq, frame)])
-
-    def _admit_locked(self, preq: PendingRequest, now: float) -> "str | None":
-        """Admission control: None accepts; a string is the refusal."""
-        if self._stopping or self._draining:
-            return "draining"
-        if self._live_workers == 0:
-            return "no-workers"
-        if preq.request_id in self._seen:
-            return "duplicate"
-        if preq.model not in self.models:
-            return "unknown-model"
-        if preq.deadline_us is not None and now >= preq.deadline_us:
-            return "deadline"
-        queue = self._queue_for(preq.model)
-        if self.shed.level(len(queue), self.queue_depth) >= 2 or (
-            not queue.offer(preq)
-        ):
-            return "queue-full"
-        self._seen.add(preq.request_id)
-        return None
-
-    def _queue_for(self, model: str) -> BatchQueue:
-        queue = self._queues.get(model)
-        if queue is None:
-            queue = BatchQueue(
-                model, self.batch_cap, self.deadline_ms * 1000.0,
-                self.queue_depth,
-            )
-            self._queues[model] = queue
-        return queue
+        self._deliver([(conn, frame)])
 
     def _deliver(self, outbox) -> None:
         """Send terminal/refusal frames, outside every server lock."""
-        for preq, frame in outbox:
-            if not preq.conn.send(frame):
+        for conn, frame in outbox:
+            if not conn.send(frame):
                 self.monitor.increment("undeliverable")
 
     def _retry_after_ms_locked(self, model: str) -> float:
-        queue = self._queues.get(model)
-        depth = (len(queue) if queue is not None else 0) + self._inflight
+        depth = self._core.depth(model) + self._core.inflight
         estimate = self._service_ms_ema or DEFAULT_SERVICE_ESTIMATE_MS
         return round(max(1.0, depth * estimate), 3)
 
@@ -523,271 +411,139 @@ class ServingServer:
     # ------------------------------------------------------------------ #
     def _worker_loop(self, worker_id: int) -> None:
         while True:
-            task = self._await_batch(worker_id)
-            if task is None:
+            batch = self._await_batch(worker_id)
+            if batch is None:
                 return
-            batch, model, cause, kill = task
-            if kill is not None and kill.at == "before-run":
-                self._worker_died(worker_id, model, batch)
+            if batch.kill is not None and batch.kill.at == BEFORE_RUN:
+                self._settle(self._core.worker_died, batch)
                 return
             started = time.perf_counter()
             try:
-                run = self.pool.session(model).run(
-                    [preq.image for preq in batch]
+                run = self.pool.session(batch.model).run(
+                    [request.image for request in batch.requests]
                 )
             except Exception as error:  # a session bug, not a protocol issue
-                self._batch_failed(
-                    batch, f"execute-error:{type(error).__name__}"
+                self._settle(
+                    self._core.fail, batch,
+                    f"execute-error:{type(error).__name__}",
                 )
                 continue
             elapsed_s = time.perf_counter() - started
-            if kill is not None:  # after-run: died before delivering
-                self._worker_died(worker_id, model, batch)
+            if batch.kill is not None:  # after-run: died before delivering
+                self._settle(self._core.worker_died, batch)
                 return
-            self._batch_completed(worker_id, batch, cause, run, elapsed_s)
+            self._batch_completed(batch, run, elapsed_s)
 
     def _await_batch(self, worker_id: int):
         """Block until a batch is due; None means this worker exits."""
         while True:
             with self._cond:
-                state, task, outbox = self._poll_batch_locked(worker_id)
+                if self._stopping:
+                    return None
+                now = _now_us()
+                batch, expired = self._core.take(worker_id, now)
+                outbox = self._outbox_locked(expired)
+                if batch is None and not outbox:
+                    if self._core.drained:
+                        return None
+                    deadline = self._core.next_deadline_us()
+                    self._cond.wait(
+                        None if deadline is None else max(0.0, (deadline - now) / 1e6)
+                    )
+                    continue
+                if batch is not None:
+                    self.monitor.increment("batches")
+            # Requests that expired while queued are answered before the
+            # batch runs (or before re-polling when all of them expired).
             self._deliver(outbox)
-            if state == "exit":
-                return None
-            if state == "batch":
-                return task
-            # state == "retry": re-poll (either a wait timed out or the
-            # whole flush had expired and was rejected)
+            if batch is not None:
+                return batch
 
-    def _poll_batch_locked(self, worker_id: int):
-        """One poll step: ``(state, task, outbox)``.
-
-        ``state`` is ``"batch"`` (task is the dispatch), ``"exit"`` (the
-        worker should stop) or ``"retry"``; ``outbox`` carries terminal
-        frames for requests whose deadline expired while queued, to be
-        delivered after the lock is released.
-        """
-        if self._stopping:
-            return "exit", None, ()
-        now = _now_us()
-        due = self._next_due_locked(now)
-        if due is not None:
-            queue, cause, limit = due
-            raw = queue.take_batch(limit)
-            outbox = []
-            batch = []
-            for preq in raw:
-                if preq.deadline_us is not None and now >= preq.deadline_us:
-                    frame = self._terminal_locked(
-                        preq, REJECTED, reason="deadline"
-                    )
-                    if frame is not None:
-                        outbox.append((preq, frame))
-                else:
-                    preq.attempts += 1
-                    batch.append(preq)
-            if not batch:
-                return "retry", None, outbox
-            self._inflight += len(batch)
-            self._worker_batches[worker_id] += 1
-            self._global_batches += 1
-            kill = self.faults.kill_for(
-                worker_id,
-                self._worker_batches[worker_id],
-                global_seq=self._global_batches,
-            )
-            self.monitor.increment("batches")
-            return "batch", (batch, queue.model, cause, kill), outbox
-        if self._draining and self._total_pending_locked() == 0:
-            return "exit", None, ()
-        self._cond.wait(self._wake_timeout_locked(now))
-        return "retry", None, ()
-
-    def _next_due_locked(self, now_us: float):
-        """The first queue with a due batch: ``(queue, cause, limit)``."""
-        for queue in self._queues.values():
-            depth = len(queue)
-            if depth == 0:
-                continue
-            level = self.shed.level(depth, self.queue_depth)
-            limit = self.shed.effective_cap(self.batch_cap, level)
-            if self._draining:
-                return queue, FLUSH_DRAIN, limit
-            if depth >= limit:
-                return queue, FLUSH_FULL, limit
-            deadline = queue.head_deadline_us()
-            if deadline is not None and now_us >= deadline:
-                return queue, FLUSH_DEADLINE, limit
-        return None
-
-    def _total_pending_locked(self) -> int:
-        return self._inflight + sum(len(q) for q in self._queues.values())
-
-    def _wake_timeout_locked(self, now_us: float) -> "float | None":
-        deadlines = [
-            queue.head_deadline_us()
-            for queue in self._queues.values()
-            if len(queue)
-        ]
-        if not deadlines:
-            return None
-        return max(0.0, (min(deadlines) - now_us) / 1e6)
-
-    def _worker_died(self, worker_id: int, model: str, batch) -> None:
-        """An injected kill: retry the interrupted batch on survivors."""
-        outbox = []
+    def _settle(self, call, *args) -> None:
+        """Apply one batch outcome to the core and deliver its answers."""
         with self._cond:
-            self._live_workers -= 1
-            self._inflight -= len(batch)
-            survivors = []
-            for preq in batch:
-                if preq.attempts > self.max_retries:
-                    frame = self._terminal_locked(
-                        preq, FAILED, reason="worker-died"
-                    )
-                    if frame is not None:
-                        outbox.append((preq, frame))
-                else:
-                    survivors.append(preq)
-                    self.monitor.increment("retries")
-            if survivors:
-                if self._live_workers > 0:
-                    self._queue_for(model).requeue_front(tuple(survivors))
-                else:
-                    for preq in survivors:
-                        frame = self._terminal_locked(
-                            preq, FAILED, reason="no-workers"
-                        )
-                        if frame is not None:
-                            outbox.append((preq, frame))
-            if self._live_workers == 0:
-                outbox.extend(self._fail_all_pending_locked("no-workers"))
+            outbox = self._outbox_locked(call(*args, _now_us()))
             self._cond.notify_all()
         self._deliver(outbox)
 
-    def _fail_all_pending_locked(self, reason: str) -> list:
-        outbox = []
-        for queue in self._queues.values():
-            while len(queue):
-                for preq in queue.take_batch(len(queue)):
-                    frame = self._terminal_locked(preq, FAILED, reason=reason)
-                    if frame is not None:
-                        outbox.append((preq, frame))
-        return outbox
-
-    def _batch_failed(self, batch, reason: str) -> None:
-        outbox = []
+    def _batch_completed(self, batch, run, elapsed_s: float) -> None:
+        digests = {
+            request.request_id: functional_run_digest(per_image)
+            for request, per_image in zip(batch.requests, run.per_image)
+        }
         with self._cond:
-            self._inflight -= len(batch)
-            for preq in batch:
-                frame = self._terminal_locked(preq, FAILED, reason=reason)
-                if frame is not None:
-                    outbox.append((preq, frame))
-            self._cond.notify_all()
-        self._deliver(outbox)
-
-    def _batch_completed(
-        self, worker_id: int, batch, cause: str, run, elapsed_s: float
-    ) -> None:
-        digests = [
-            functional_run_digest(per_image) for per_image in run.per_image
-        ]
-        outbox = []
-        with self._cond:
-            self._inflight -= len(batch)
-            per_request_ms = elapsed_s * 1000.0 / len(batch)
+            per_request_ms = elapsed_s * 1000.0 / len(batch.requests)
             self._service_ms_ema = (
                 per_request_ms
                 if self._service_ms_ema is None
                 else 0.5 * self._service_ms_ema + 0.5 * per_request_ms
             )
-            for index, preq in enumerate(batch):
-                frame = self._terminal_locked(
-                    preq,
-                    COMPLETED,
-                    digest=digests[index],
-                    worker=worker_id,
-                    batch_size=len(batch),
-                    flush_cause=cause,
-                )
-                if frame is not None:
-                    outbox.append((preq, frame))
+            outbox = self._outbox_locked(
+                self._core.complete(batch, _now_us()),
+                lambda request: {
+                    "digest": digests[request.request_id],
+                    "worker": batch.worker,
+                    "batch_size": len(batch.requests),
+                    "flush_cause": batch.cause,
+                },
+            )
             self._cond.notify_all()
         self._deliver(outbox)
 
     # ------------------------------------------------------------------ #
     # Terminal responses
     # ------------------------------------------------------------------ #
-    def _response(self, preq: PendingRequest, status: str, **fields) -> dict:
+    def _response(self, terminal, **fields) -> dict:
+        request = terminal.request
         frame = {
             "type": RESPONSE,
-            "id": preq.request_id,
-            "model": preq.model,
-            "image": preq.image,
-            "status": status,
-            "reason": "",
-            "latency_ms": round((_now_us() - preq.arrival_us) / 1000.0, 3),
-            "attempts": preq.attempts,
+            "id": request.request_id,
+            "model": request.model,
+            "image": request.image,
+            "status": terminal.status,
+            "reason": terminal.reason,
+            "latency_ms": round((_now_us() - request.arrival_us) / 1000.0, 3),
+            "attempts": terminal.attempts,
         }
         frame.update(fields)
         return frame
 
-    def _terminal_locked(
-        self, preq: PendingRequest, status: str, **fields
-    ) -> "dict | None":
-        """Ledger one terminal answer for an *accepted* request.
-
-        Returns the response frame to deliver (after the caller drops
-        the lock), or ``None`` for a double-terminal — an invariant
-        breach that is counted loudly and never sent.
-        """
-        if preq.request_id in self._terminals:
-            self.monitor.increment("violations")
-            return None
-        self._terminals[preq.request_id] = status
-        latency_us = _now_us() - preq.arrival_us
-        if status == COMPLETED:
-            self.monitor.increment("completed")
-            self._latency.record(max(0.0, latency_us))
-        elif status == FAILED:
-            self.monitor.increment("failed")
-        else:
-            self.monitor.increment("rejected_deadline")
-        return self._response(preq, status, **fields)
+    def _outbox_locked(self, terminals, fields=None) -> list:
+        """The frames of the core's ledgered answers, with their callers."""
+        outbox = []
+        for terminal in terminals:
+            self.monitor.increment(TERMINAL_COUNTERS[terminal.status])
+            extra = fields(terminal.request) if fields is not None else {}
+            outbox.append((
+                self._conns.pop(terminal.request.request_id),
+                self._response(terminal, **extra),
+            ))
+        return outbox
 
     # ------------------------------------------------------------------ #
     # Health
     # ------------------------------------------------------------------ #
     def _health_snapshot(self) -> dict:
         with self._cond:
+            core = self._core
             extras = {
                 "models": list(self.models),
                 "queue_depth_limit": self.queue_depth,
-                "pending": sum(len(q) for q in self._queues.values()),
-                "inflight": self._inflight,
-                "live_workers": self._live_workers,
-                "shed_level": max(
-                    (
-                        self.shed.level(len(q), self.queue_depth)
-                        for q in self._queues.values()
-                    ),
-                    default=0,
-                ),
-                "terminals": len(self._terminals),
+                "pending": core.pending,
+                "inflight": core.inflight,
+                "live_workers": core.live_workers,
+                "shed_level": core.shed_level(),
+                "terminals": len(core.ledger),
+                "retries": core.retries,
+                "violations": core.violations,
             }
-            latency = self._latency.summary()
+            latency = core.latency.summary()
         extras["blas_threads"] = blas_thread_counts()
         extras["latency_ms"] = {
             key: (value / 1000.0 if key.endswith("_us") else value)
             for key, value in latency.items()
         }
         return self.monitor.snapshot(**extras)
-
-    @property
-    def terminals(self) -> "dict[str, str]":
-        """Terminal status per accepted request id (test/soak hook)."""
-        with self._cond:
-            return dict(self._terminals)
 
 
 # --------------------------------------------------------------------- #
@@ -844,15 +600,15 @@ def demo_definitions() -> "dict[str, ModelDefinition]":
 # --------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------- #
-def _parse_kill(text: str) -> WorkerBatchKill:
+def _parse_kill(text: str) -> WorkerKill:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError(
             f"expected WORKER:BATCH_SEQ[:at], got {text!r}"
         )
-    at = parts[2] if len(parts) == 3 else "before-run"
+    at = parts[2] if len(parts) == 3 else BEFORE_RUN
     try:
-        return WorkerBatchKill(int(parts[0]), int(parts[1]), at)
+        return WorkerKill(int(parts[0]), int(parts[1]), at)
     except (ValueError, ConfigError) as error:
         raise argparse.ArgumentTypeError(str(error)) from error
 
@@ -896,7 +652,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.demo_zoo and args.models:
         print("--demo-zoo and --models are mutually exclusive", file=sys.stderr)
         return 2
@@ -905,17 +662,20 @@ def main(argv=None) -> int:
         scale=args.scale, seed=args.seed, definitions=definitions
     )
     models = tuple(args.models) if args.models else tuple(definitions)
-    server = ServingServer(
-        pool,
-        address=args.unix if args.unix else ("127.0.0.1", args.port),
-        models=models,
-        batch_cap=args.batch_cap,
-        deadline_ms=args.deadline_ms,
-        queue_depth=args.queue_depth,
-        workers=args.workers,
-        max_retries=args.max_retries,
-        faults=ServerFaultPlan(worker_kills=tuple(args.kill_worker)),
-    )
+    try:
+        server = ServingServer(
+            pool,
+            address=args.unix if args.unix else ("127.0.0.1", args.port),
+            models=models,
+            batch_cap=args.batch_cap,
+            deadline_ms=args.deadline_ms,
+            queue_depth=args.queue_depth,
+            workers=args.workers,
+            max_retries=args.max_retries,
+            faults=FaultPlan(worker_kills=tuple(args.kill_worker)),
+        )
+    except ConfigError as error:
+        parser.error(str(error))  # exits 2
     signal.signal(signal.SIGTERM, lambda signum, frame: server.drain())
     signal.signal(signal.SIGINT, lambda signum, frame: server.drain())
     server.start()

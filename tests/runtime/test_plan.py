@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import ExperimentTask, run_tasks
+from repro.runtime.executor import ExperimentTask, run_plan
 from repro.runtime.plan import CACHED, PENDING, build_plan, format_plan
 
 
@@ -44,7 +44,7 @@ class TestBuildPlan:
         assert plan.cached() == ()
 
     def test_cached_results_are_detected(self, cache):
-        run_tasks([TASKS[1]], cache=cache)
+        run_plan(build_plan([TASKS[1]], cache), cache=cache)
         plan = build_plan(TASKS, cache)
         assert [entry.status for entry in plan.entries] == [
             PENDING,
@@ -53,7 +53,7 @@ class TestBuildPlan:
         ]
 
     def test_no_cache_means_all_pending(self, cache):
-        run_tasks([TASKS[1]], cache=cache)
+        run_plan(build_plan([TASKS[1]], cache), cache=cache)
         plan = build_plan(TASKS, cache=None)
         assert all(entry.status == PENDING for entry in plan.entries)
 
@@ -82,7 +82,7 @@ class TestPlanIdentity:
 
     def test_plan_id_insensitive_to_cache_state(self, cache):
         before = build_plan(TASKS, cache).plan_id
-        run_tasks([TASKS[1]], cache=cache)
+        run_plan(build_plan([TASKS[1]], cache), cache=cache)
         assert build_plan(TASKS, cache).plan_id == before
 
     def test_short_id_prefixes_plan_id(self, cache):
@@ -92,7 +92,7 @@ class TestPlanIdentity:
 
 class TestDryRunView:
     def test_format_lists_every_task_with_status(self, cache):
-        run_tasks([TASKS[0]], cache=cache)
+        run_plan(build_plan([TASKS[0]], cache), cache=cache)
         text = format_plan(build_plan(TASKS, cache))
         assert "table2" in text and "fig5" in text and "fig19" in text
         assert "cached" in text and "pending" in text

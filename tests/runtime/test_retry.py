@@ -116,14 +116,6 @@ class TestCallWithRetry:
         )
         assert slept == [0.125]
 
-    def test_attempts_used_reduces_budget(self):
-        fn, calls = self._flaky(failures=2)
-        policy = RetryPolicy(max_retries=2, backoff_base_s=0.0)
-        # Two attempts already consumed elsewhere: only one left here.
-        with pytest.raises(TransientError):
-            call_with_retry(fn, policy, attempts_used=2)
-        assert len(calls) == 1
-
     def test_custom_classifier(self):
         fn, calls = self._flaky(failures=1, error=OSError)
         policy = RetryPolicy(max_retries=1, backoff_base_s=0.0)

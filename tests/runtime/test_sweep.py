@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import ExperimentTask, execute_task, run_tasks
+from repro.runtime.executor import ExperimentTask, execute_task, run_plan
+from repro.runtime.plan import build_plan
 from repro.runtime.sweep import SweepSpec, run_sweep
 
 
@@ -66,6 +67,8 @@ class TestExecuteTask:
 
 
 class TestRunTasks:
+    """Task lists through build_plan + run_plan, the engine of run_sweep."""
+
     TASKS = [
         ExperimentTask(experiment="table2"),
         ExperimentTask(experiment="fig19", quick=True),
@@ -73,7 +76,7 @@ class TestRunTasks:
     ]
 
     def test_results_keep_task_order(self, cache):
-        results = run_tasks(self.TASKS, cache=cache)
+        results = run_plan(build_plan(self.TASKS, cache), cache=cache).results
         assert [result.task.experiment for result in results] == [
             "table2",
             "fig19",
@@ -81,26 +84,26 @@ class TestRunTasks:
         ]
 
     def test_second_run_hits_cache_with_identical_rows(self, cache):
-        first = run_tasks(self.TASKS, cache=cache)
-        second = run_tasks(self.TASKS, cache=cache)
+        first = run_plan(build_plan(self.TASKS, cache), cache=cache).results
+        second = run_plan(build_plan(self.TASKS, cache), cache=cache).results
         assert all(not result.cached for result in first)
         assert all(result.cached for result in second)
         assert [result.rows for result in first] == [result.rows for result in second]
 
     def test_durations_are_per_task(self, cache):
-        results = run_tasks(self.TASKS, cache=None)
+        results = run_plan(build_plan(self.TASKS, None)).results
         assert all(result.duration_s > 0 for result in results)
         # Per-task timings, not the shared batch wall time.
         assert len({result.duration_s for result in results}) == len(results)
 
     def test_no_cache_recomputes(self, cache):
-        run_tasks(self.TASKS, cache=cache)
-        again = run_tasks(self.TASKS, cache=None)
+        run_plan(build_plan(self.TASKS, cache), cache=cache)
+        again = run_plan(build_plan(self.TASKS, None)).results
         assert all(not result.cached for result in again)
 
     def test_parallel_matches_serial(self, cache):
-        serial = run_tasks(self.TASKS, jobs=1, cache=None)
-        parallel = run_tasks(self.TASKS, jobs=2, cache=None)
+        serial = run_plan(build_plan(self.TASKS, None)).results
+        parallel = run_plan(build_plan(self.TASKS, None), jobs=2).results
         assert [result.rows for result in serial] == [
             result.rows for result in parallel
         ]
@@ -108,7 +111,7 @@ class TestRunTasks:
     def test_unknown_name_fails_fast_before_executing(self, cache):
         tasks = [ExperimentTask(experiment="nope"), ExperimentTask(experiment="table2")]
         with pytest.raises(ConfigError):
-            run_tasks(tasks, cache=cache)
+            run_plan(build_plan(tasks, cache), cache=cache)
         # Nothing was stored: the bad name aborted before any execution.
         assert not any(cache.root.rglob("*.json"))
 
@@ -188,8 +191,27 @@ class TestRunSweep:
 
 
 class TestFaultTolerantSweep:
-    """run_sweep routes through the plan executor when resilience
-    options are passed, surfacing quarantined cells instead of raising."""
+    """run_sweep retries through the plan executor; a cell that fails for
+    good raises, or with keep_going lands in ``failures``."""
+
+    def test_failing_cell_raises_on_the_default_call(self, cache, monkeypatch):
+        from repro.runtime import executor
+
+        real = executor.execute_task
+
+        def fig19_breaks(task):
+            if task.experiment == "fig19":
+                raise ValueError("fig19 is broken")
+            return real(task)
+
+        monkeypatch.setattr(executor, "execute_task", fig19_breaks)
+        spec = SweepSpec(experiments=("fig19", "fig5"), quick=True)
+        with pytest.raises(ReproError, match="fig19 @ v100.*fig19 is broken"):
+            run_sweep(spec, cache=cache)
+        # keep_going finishes the grid and reports the cell instead.
+        result = run_sweep(spec, cache=cache, keep_going=True)
+        assert [failure.task.experiment for failure in result.failures] == ["fig19"]
+        assert {row["experiment"] for row in result.rows()} == {"fig5"}
 
     def test_policy_routes_through_plan_executor(self, cache):
         from repro.runtime.faults import ExecutorFault, ExecutorFaultPlan

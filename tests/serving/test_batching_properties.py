@@ -180,3 +180,20 @@ def test_rejection_preserves_fifo_order_of_admitted():
     report = daemon.run(requests)
     completed_ids = [r.request.request_id for r in report.completed]
     assert completed_ids == sorted(completed_ids)
+
+
+def test_saturated_model_does_not_starve_another():
+    """A Tiny-GEMM request every 20 us keeps that queue full on one
+    worker; a lone Tiny-CNN request must still be served once its head
+    is the oldest, not after the whole Tiny-GEMM stream."""
+    requests = tuple(
+        Request(f"g{i:03d}", "Tiny-GEMM", i % 4, arrival_us=20.0 * i)
+        for i in range(300)
+    ) + (Request("cnn", "Tiny-CNN", 0, arrival_us=10.0),)
+    daemon = ServingDaemon(POOL, batch_cap=2, deadline_us=100.0, workers=1)
+    report = daemon.run(requests)
+    served = report.by_id()["cnn"]
+    assert served.status == COMPLETED
+    assert served.latency_us <= 200.0
+    gemm_done = [r for r in report.completed if r.request.model == "Tiny-GEMM"]
+    assert sum(r.finish_us < served.finish_us for r in gemm_done) <= 4

@@ -2,9 +2,7 @@
 
 The fault/property suites drive the assembled daemon; these tests pin
 the pieces in isolation — clock monotonicity, queue flush/admission
-semantics, seeded arrival schedules, and the session pool (including
-the multi-process warm path that shards compilation through the sweep
-runtime's worker pool).
+semantics, seeded arrival schedules, and the session pool.
 """
 
 from __future__ import annotations
@@ -16,6 +14,7 @@ from repro.serving import (
     BatchQueue,
     FLUSH_DEADLINE,
     FLUSH_FULL,
+    FaultPlan,
     Request,
     ServingDaemon,
     SessionPool,
@@ -52,28 +51,30 @@ class TestBatchQueue:
         queue = self.make()
         for i in range(3):
             assert queue.offer(self.request(f"q{i}", 0.0))
-        assert queue.due_cause(1.0) == FLUSH_FULL
-        assert len(queue.take_batch()) == 3
-        assert queue.due_cause(1.0) is None
+        assert queue.due_cause(1.0, queue.batch_cap) == FLUSH_FULL
+        assert len(queue.take_batch(queue.batch_cap)) == 3
+        assert queue.due_cause(1.0, queue.batch_cap) is None
 
     def test_deadline_makes_partial_batch_due(self):
         queue = self.make()
         queue.offer(self.request("q0", 10.0))
-        assert queue.due_cause(109.9) is None
+        assert queue.due_cause(109.9, queue.batch_cap) is None
         assert queue.head_deadline_us() == 110.0
-        assert queue.due_cause(110.0) == FLUSH_DEADLINE
+        assert queue.due_cause(110.0, queue.batch_cap) == FLUSH_DEADLINE
 
     def test_depth_bound_refuses_and_requeue_bypasses_it(self):
         queue = self.make(cap=2, depth=2)
         assert queue.offer(self.request("q0", 0.0))
         assert queue.offer(self.request("q1", 0.0))
         assert not queue.offer(self.request("q2", 0.0))
-        batch = queue.take_batch()
+        batch = queue.take_batch(queue.batch_cap)
         # A retried batch was already admitted once: it re-enters at the
         # front even when new arrivals have refilled the queue.
         queue.offer(self.request("q3", 1.0))
         queue.requeue_front(batch)
-        assert [r.request_id for r in queue.pending] == ["q0", "q1", "q3"]
+        assert [r.request_id for r in queue.take_batch(len(queue))] == [
+            "q0", "q1", "q3",
+        ]
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ConfigError):
@@ -127,24 +128,6 @@ class TestSessionPool:
         assert SessionPool().scale_for("Mask R-CNN") == 0.25
         assert SessionPool().scale_for("ResNet-18") == 1.0
 
-    def test_parallel_warm_serves_bit_identically(self, definitions,
-                                                  runs_equal):
-        serial = SessionPool(seed=2021, definitions=definitions)
-        parallel = SessionPool(seed=2021, definitions=definitions)
-        parallel.warm(["Tiny-CNN", "Tiny-GEMM", "Tiny-GEMM"], jobs=2)
-        assert set(parallel.compiled_models) == {"Tiny-CNN", "Tiny-GEMM"}
-        for model in ("Tiny-CNN", "Tiny-GEMM"):
-            expected = serial.session(model).run([0, 1])
-            shipped = parallel.session(model).run([0, 1])
-            for position in range(2):
-                runs_equal(
-                    expected.per_image[position], shipped.per_image[position]
-                )
-
-    def test_warm_rejects_bad_jobs(self, definitions):
-        with pytest.raises(ConfigError):
-            SessionPool(definitions=definitions).warm(["Tiny-CNN"], jobs=0)
-
 
 class TestDaemonValidation:
     def test_bad_geometry_rejected_eagerly(self, pool):
@@ -157,15 +140,12 @@ class TestDaemonValidation:
         with pytest.raises(ConfigError):
             ServingDaemon(pool, batch_cap=4, queue_depth=2)
 
-    def test_fault_plan_validates_worker_index_at_kill_time(self, pool):
-        from repro.serving import FaultPlan
-
-        daemon = ServingDaemon(
-            pool, batch_cap=1, deadline_us=100.0, queue_depth=4, workers=1,
-            faults=FaultPlan(worker_kills=(WorkerKill(worker=5, at_us=0.0),)),
-        )
-        with pytest.raises(ConfigError):
-            daemon.run((Request("v0", "Tiny-GEMM", 0, 10.0),))
+    def test_kill_for_missing_worker_rejected_eagerly(self, pool):
+        with pytest.raises(ConfigError, match="only 1 exist"):
+            ServingDaemon(
+                pool, batch_cap=1, deadline_us=100.0, queue_depth=4,
+                workers=1, faults=FaultPlan((WorkerKill(5, 1),)),
+            )
 
     def test_empty_schedule_yields_empty_report(self, pool):
         report = ServingDaemon(pool).run(())

@@ -1,8 +1,9 @@
 """Deterministic fault harness for the serving daemon.
 
-Every scenario here is *scheduled*, not raced: worker deaths, arrival
-bursts and deadline gaps are fixed points on the virtual timeline, so a
-crash interleaving replays bit-identically on every run.  The harness
+Every scenario here is *scheduled*, not raced: worker deaths are fixed
+batch positions, and arrival bursts and deadline gaps are fixed points
+on the virtual timeline, so a crash interleaving replays
+bit-identically on every run.  The harness
 asserts the daemon's terminal-response contract under each fault:
 
 * no request is ever silently dropped — every arrival has exactly one
@@ -61,12 +62,12 @@ def assert_survivors_match_oracle(report, oracle, runs_equal):
 class TestWorkerDeathMidBatch:
     def test_batch_retried_on_surviving_worker(self, pool, oracle, runs_equal):
         # Both requests arrive at t=0; cap 2 flushes immediately on
-        # worker 0.  Service time is ~50us (the batch overhead), so the
-        # kill at t=10 lands mid-batch.
+        # worker 0, which computes the batch and dies at its completion
+        # event, before delivering anything.
         requests = burst("Tiny-GEMM", 2)
         daemon = ServingDaemon(
             pool, batch_cap=2, deadline_us=500.0, queue_depth=8, workers=2,
-            faults=FaultPlan(worker_kills=(WorkerKill(worker=0, at_us=10.0),)),
+            faults=FaultPlan(worker_kills=(WorkerKill(0, 1, "after-run"),)),
         )
         report = daemon.run(requests)
         assert_all_terminal(report, requests)
@@ -81,28 +82,49 @@ class TestWorkerDeathMidBatch:
             assert response.attempts == 2
         assert_survivors_match_oracle(report, oracle, runs_equal)
 
+    def test_before_run_kill_never_executes_the_batch(self, pool, oracle,
+                                                       runs_equal):
+        requests = burst("Tiny-GEMM", 2)
+        daemon = ServingDaemon(
+            pool, batch_cap=2, deadline_us=500.0, queue_depth=8, workers=2,
+            faults=FaultPlan(worker_kills=(WorkerKill(0, 1, "before-run"),)),
+        )
+        report = daemon.run(requests)
+        assert_all_terminal(report, requests)
+        interrupted, served = report.batches
+        assert (interrupted.worker, interrupted.completed) == (0, False)
+        assert interrupted.service_us == 0.0  # it never ran
+        # The survivor takes the requeued pair at the same instant.
+        assert (served.worker, served.dispatch_us) == (1, 0.0)
+        assert [r.attempts for r in report.completed] == [2, 2]
+        assert_survivors_match_oracle(report, oracle, runs_equal)
+
     def test_killed_worker_never_serves_again(self, pool):
         requests = burst("Tiny-GEMM", 8) + burst(
             "Tiny-GEMM", 4, at_us=2_000.0, start=8
         )
         daemon = ServingDaemon(
             pool, batch_cap=2, deadline_us=500.0, queue_depth=16, workers=2,
-            faults=FaultPlan(worker_kills=(WorkerKill(worker=0, at_us=10.0),)),
+            faults=FaultPlan(worker_kills=(WorkerKill(0, 1, "after-run"),)),
         )
         report = daemon.run(requests)
         assert len(report.completed) == 12
-        for batch in report.batches:
-            if batch.dispatch_us > 10.0:
-                assert batch.worker == 1
+        (interrupted,) = [b for b in report.batches if not b.completed]
+        died_at = interrupted.dispatch_us + interrupted.service_us
+        later = [b for b in report.batches if b.dispatch_us >= died_at]
+        assert later and all(batch.worker == 1 for batch in later)
 
     def test_last_worker_death_fails_terminally(self, pool):
         # One worker, killed mid-batch, with retries allowed: the
-        # in-flight pair is requeued but no capacity remains, so every
-        # admitted request must still get a terminal *failed* answer.
-        requests = burst("Tiny-GEMM", 3)
+        # in-flight pair would be requeued but no capacity remains, so
+        # every admitted request gets a terminal *failed* answer at the
+        # death, and a later arrival is refused outright.
+        requests = burst("Tiny-GEMM", 3) + (
+            Request("late", "Tiny-GEMM", 0, arrival_us=1_000.0),
+        )
         daemon = ServingDaemon(
             pool, batch_cap=2, deadline_us=500.0, queue_depth=8, workers=1,
-            faults=FaultPlan(worker_kills=(WorkerKill(worker=0, at_us=10.0),)),
+            faults=FaultPlan(worker_kills=(WorkerKill(0, 1, "after-run"),)),
             max_retries=1,
         )
         report = daemon.run(requests)
@@ -110,12 +132,17 @@ class TestWorkerDeathMidBatch:
         assert len(report.completed) == 0
         assert len(report.failed) == 3
         assert {r.reason for r in report.failed} == {"no-workers"}
+        (interrupted,) = report.batches
+        died_at = interrupted.dispatch_us + interrupted.service_us
+        assert {r.finish_us for r in report.failed} == {died_at}
+        late = report.by_id()["late"]
+        assert (late.status, late.reason) == (REJECTED, "no-workers")
 
     def test_retry_budget_exhausted_fails_with_worker_died(self, pool):
         requests = burst("Tiny-GEMM", 2)
         daemon = ServingDaemon(
             pool, batch_cap=2, deadline_us=500.0, queue_depth=8, workers=1,
-            faults=FaultPlan(worker_kills=(WorkerKill(worker=0, at_us=10.0),)),
+            faults=FaultPlan(worker_kills=(WorkerKill(0, 1, "after-run"),)),
             max_retries=0,
         )
         report = daemon.run(requests)
@@ -224,7 +251,7 @@ class TestDeterministicReplay:
         )
         daemon = ServingDaemon(
             pool, batch_cap=2, deadline_us=600.0, queue_depth=4, workers=2,
-            faults=FaultPlan(worker_kills=(WorkerKill(worker=1, at_us=90.0),)),
+            faults=FaultPlan(worker_kills=(WorkerKill(1, 1, "after-run"),)),
         )
         return requests, daemon.run(requests)
 

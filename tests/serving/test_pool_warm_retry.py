@@ -1,22 +1,17 @@
 """SessionPool.warm under the sweep runtime's retry policy.
 
-Flaky compiles — a worker raising :class:`TransientError` — must not
+Flaky compiles — a compile raising :class:`TransientError` — must not
 fail the whole warm-up when a :class:`RetryPolicy` is supplied: the
-serial path retries in place, the parallel path folds the failed shard
-back into an in-process retry with the parallel attempt counted against
-the budget.  Without a policy the error propagates unchanged, which is
-the pre-existing contract.
+compile is retried in place.  Without a policy the error propagates
+unchanged, which is the pre-existing contract.
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.serving import SessionPool
-from repro.serving import pool as pool_module
 from repro.runtime.retry import RetryPolicy, TransientError
 
 SEED = 2021
@@ -37,12 +32,6 @@ class FlakySessionPool(SessionPool):
         if count <= self.failures:
             raise TransientError(f"flaky compile of {model} (call {count})")
         return super().session(model)
-
-
-def _flaky_compile_entry(payload):
-    """Parallel warm worker that always fails transiently (picklable)."""
-    name, _definition, _kwargs = payload
-    raise TransientError(f"flaky worker compile of {name}")
 
 
 class TestSerialWarmRetry:
@@ -76,35 +65,3 @@ class TestSerialWarmRetry:
         expected = plain.session("Tiny-GEMM").run([0])
         recovered = flaky.session("Tiny-GEMM").run([0])
         runs_equal(expected.per_image[0], recovered.per_image[0])
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="parallel warm-retry test relies on fork inheritance",
-)
-class TestParallelWarmRetry:
-    def test_flaky_workers_fold_back_into_inprocess_retry(
-        self, definitions, monkeypatch
-    ):
-        monkeypatch.setattr(pool_module, "_compile_entry", _flaky_compile_entry)
-        pool = SessionPool(seed=SEED, definitions=definitions)
-        pool.warm(["Tiny-CNN", "Tiny-GEMM"], jobs=2, policy=POLICY)
-        assert set(pool.compiled_models) == {"Tiny-CNN", "Tiny-GEMM"}
-
-    def test_no_policy_propagates_worker_transient(self, definitions, monkeypatch):
-        monkeypatch.setattr(pool_module, "_compile_entry", _flaky_compile_entry)
-        pool = SessionPool(seed=SEED, definitions=definitions)
-        with pytest.raises(TransientError):
-            pool.warm(["Tiny-CNN", "Tiny-GEMM"], jobs=2)
-
-    def test_zero_retry_policy_propagates_worker_transient(
-        self, definitions, monkeypatch
-    ):
-        monkeypatch.setattr(pool_module, "_compile_entry", _flaky_compile_entry)
-        pool = SessionPool(seed=SEED, definitions=definitions)
-        with pytest.raises(TransientError):
-            pool.warm(
-                ["Tiny-CNN", "Tiny-GEMM"],
-                jobs=2,
-                policy=RetryPolicy(max_retries=0),
-            )

@@ -10,6 +10,7 @@ behaviour run over real sockets against the tiny conformance models.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -20,11 +21,7 @@ from repro.serving.client import (
     ServerUnavailable,
     ServingClient,
 )
-from repro.serving.netfaults import (
-    ANY_WORKER,
-    ServerFaultPlan,
-    WorkerBatchKill,
-)
+from repro.serving.core import ANY_WORKER, FaultPlan, WorkerKill
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
     encode_frame,
@@ -33,10 +30,10 @@ from repro.serving.protocol import (
     make_request,
 )
 from repro.serving.server import (
-    PendingRequest,
     ServingServer,
     ShedPolicy,
     demo_definitions,
+    main,
 )
 from repro.utils import blas
 
@@ -80,6 +77,18 @@ class TestServerValidation:
             ServingServer(pool, workers=0)
         with pytest.raises(ConfigError):
             ServingServer(pool, max_retries=-1)
+
+    def test_kill_for_a_missing_worker_rejected_at_construction(self, pool):
+        with pytest.raises(ConfigError, match="only 2 exist"):
+            ServingServer(
+                pool, workers=2, faults=FaultPlan((WorkerKill(5, 1),)),
+            )
+
+    def test_cli_exits_2_on_a_kill_for_a_missing_worker(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--demo-zoo", "--workers", "2", "--kill-worker", "5:1"])
+        assert exit_info.value.code == 2
+        assert "kills worker 5" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- #
@@ -155,31 +164,18 @@ class TestAdmission:
         assert frame["reason"] == "draining"
         assert "retry_after_ms" in frame
 
-    def test_expired_deadline_rejected_at_admission(self, pool):
-        server = _offline_server(pool)
-        conn = FakeConn()
-        preq = PendingRequest(
-            request_id="r1", model="Tiny-CNN", image=0,
-            arrival_us=0.0, deadline_us=1.0, conn=conn,
-        )
-        with server._cond:
-            reason = server._admit_locked(preq, now=2.0)
-        assert reason == "deadline"
-
     def test_shed_ladder_shrinks_flush_cap(self, pool):
-        server = _offline_server(
-            pool, batch_cap=4, queue_depth=8,
-            shed=ShedPolicy(soft_fraction=0.5, cap_divisor=2),
-        )
-        conn = FakeConn()
-        for n in range(4):  # depth 4 >= 0.5 * 8 -> level 1, cap 4 -> 2
-            _admit(server, conn, f"r{n}")
-        with server._cond:
-            due = server._next_due_locked(now_us=0.0)
-        assert due is not None
-        queue, cause, limit = due
-        assert cause == "full"  # depth 4 >= shrunken cap 2
-        assert limit == 2
+        # Four queued at depth 8 is shed level 1: the default ladder
+        # halves the flush cap of 4, a divisor-1 ladder keeps it whole.
+        for shed, size in ((None, 2), (ShedPolicy(cap_divisor=1), 4)):
+            server = _offline_server(pool, batch_cap=4, queue_depth=8, shed=shed)
+            conn = FakeConn()
+            for n in range(4):
+                _admit(server, conn, f"r{n}")
+            assert server._health_snapshot()["shed_level"] == 1
+            batch, expired = server._core.take(0, time.monotonic() * 1e6)
+            assert expired == []
+            assert len(batch.requests) == size
 
 
 # --------------------------------------------------------------------- #
@@ -291,7 +287,7 @@ class TestServing:
         got = client.collect(rids)
         assert sorted(got) == sorted(rids)
         assert client.stash == {}  # no duplicate terminals anywhere
-        assert server.monitor.count("violations") == 0
+        assert server._health_snapshot()["violations"] == 0
         assert server.monitor.count("accepted") == len(rids)
 
 
@@ -386,8 +382,8 @@ class TestWorkerKills:
         server = ServingServer(
             pool, models=("Tiny-CNN",), batch_cap=2, deadline_ms=20.0,
             queue_depth=8, workers=1, max_retries=0,
-            faults=ServerFaultPlan(
-                worker_kills=(WorkerBatchKill(0, 1, "before-run"),)
+            faults=FaultPlan(
+                worker_kills=(WorkerKill(0, 1, "before-run"),)
             ),
         )
         server.start()
@@ -408,7 +404,7 @@ class TestWorkerKills:
                 assert (response["status"], response["reason"]) == (
                     "rejected", "no-workers",
                 )
-            assert server.monitor.count("violations") == 0
+            assert server._health_snapshot()["violations"] == 0
         finally:
             server.shutdown()
 
@@ -420,8 +416,8 @@ class TestWorkerKills:
         server = ServingServer(
             pool, models=("Tiny-GEMM",), batch_cap=2, deadline_ms=20.0,
             queue_depth=8, workers=2, max_retries=2,
-            faults=ServerFaultPlan(
-                worker_kills=(WorkerBatchKill(ANY_WORKER, 1, "after-run"),)
+            faults=FaultPlan(
+                worker_kills=(WorkerKill(ANY_WORKER, 1, "after-run"),)
             ),
         )
         server.start()
@@ -439,8 +435,8 @@ class TestWorkerKills:
             # The first dispatched batch was killed, so at least one
             # request was recomputed by the surviving worker.
             assert max(r["attempts"] for r in got.values()) >= 2
-            assert server.monitor.count("retries") >= 1
-            assert server.monitor.count("violations") == 0
+            assert server._health_snapshot()["retries"] >= 1
+            assert server._health_snapshot()["violations"] == 0
         finally:
             server.shutdown()
 
@@ -480,7 +476,7 @@ class TestConcurrentClients:
         assert errors == []
         assert len(results) == 16
         assert {r["status"] for r in results.values()} == {"completed"}
-        assert server.monitor.count("violations") == 0
+        assert server._health_snapshot()["violations"] == 0
 
 
 def test_demo_definitions_compile_and_serve():
