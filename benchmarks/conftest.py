@@ -7,13 +7,7 @@ pytest-benchmark.  Heavy sweeps run with a single round so the whole
 harness stays in the minutes range.
 """
 
-import json
-from pathlib import Path
-
 import pytest
-
-#: Where benchmarks append their measurement rows (gitignored).
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 @pytest.fixture
@@ -26,17 +20,3 @@ def one_shot(benchmark):
         )
 
     return _run
-
-
-@pytest.fixture
-def append_trajectory():
-    """Append one row to a JSON-list trajectory file under ``results/``."""
-
-    def _append(name: str, row: dict) -> None:
-        path = RESULTS_DIR / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        trajectory = json.loads(path.read_text()) if path.exists() else []
-        trajectory.append(row)
-        path.write_text(json.dumps(trajectory, indent=2) + "\n")
-
-    return _append

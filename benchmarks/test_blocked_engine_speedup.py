@@ -1,28 +1,39 @@
-"""Blocked-engine speedup over the per-step vectorized engine.
+"""Blocked-engine speedups: K-panel path and warp-tile path.
 
-Times the K-panel blocked engine against the per-step vectorized engine
-on Figure 21-sized SpGEMMs (1024^3 and 2048^3 at (0.7, 0.7) sparsity)
-and on a full-resolution (``scale=1.0``) functional ResNet-18 run,
-asserts the >= 5x advantage at 2048^3 with bit-identical statistics and
-exact numeric output (the operands are integer-valued, so the panel
-re-association is exact), and appends the measurements to the JSON
-trajectory at ``benchmarks/results/blocked_speedup.json`` so speedup
-history survives across runs.
+The K-panel gate times the blocked engine against the per-step
+vectorized engine on Figure 21-sized SpGEMMs (1024^3 and 2048^3 at
+(0.7, 0.7) sparsity) and on a full-resolution (``scale=1.0``) functional
+ResNet-18 run, and asserts the >= 5x advantage at 2048^3 with
+bit-identical statistics and exact numeric output (the operands are
+integer-valued, so the panel re-association is exact).
+
+The warp-tile gate times an RNN-shaped block-pruned product — a
+4096 x 2048 A pruned in 32 x 32 blocks at 5% block density times a dense
+2048 x 1024 B — against a dense ``np.matmul`` of the same float64
+arrays, and asserts the >= 1.3x advantage with an output exactly equal
+to ``a @ b`` (integer-valued again).
 """
 
 from __future__ import annotations
 
 import time
-from datetime import datetime, timezone
 
 import numpy as np
 
+from repro.core.engine_blocked import TILE_PATH_MAX_SHARE, tile_share
+from repro.core.operands import EncodedOperand
 from repro.core.spgemm_device import device_spgemm
+from repro.core.spgemm_warp import WarpTileConfig
 from repro.nn.functional import run_model_functional
 
 SPARSITY = 0.7
 MIN_SPEEDUP_2048 = 5.0
-TRAJECTORY = "blocked_speedup.json"
+
+#: RNN gate-GEMM shape (M, K, N) of the warp-tile gate.
+TILE_SHAPE = (4096, 2048, 1024)
+TILE_BLOCK = 32
+TILE_BLOCK_DENSITY = 0.05
+MIN_TILE_SPEEDUP = 1.3
 
 
 def _timed(func):
@@ -49,7 +60,21 @@ def _integer_operands(size: int, seed: int):
     return a, b
 
 
-def test_bench_blocked_engine_speedup(benchmark, append_trajectory):
+def _block_pruned_operands(seed: int):
+    """Integer-valued block-pruned A and dense B of :data:`TILE_SHAPE`."""
+    m_dim, k_dim, n_dim = TILE_SHAPE
+    rng = np.random.default_rng(seed)
+    blocks = (
+        rng.random((m_dim // TILE_BLOCK, k_dim // TILE_BLOCK))
+        < TILE_BLOCK_DENSITY
+    )
+    mask = np.kron(blocks, np.ones((TILE_BLOCK, TILE_BLOCK), dtype=bool))
+    a = np.where(mask, rng.integers(1, 9, (m_dim, k_dim)), 0).astype(np.float64)
+    b = rng.integers(-8, 9, (k_dim, n_dim)).astype(np.float64)
+    return a, b
+
+
+def test_bench_blocked_engine_speedup(benchmark):
     sizes = {}
     for size in (1024, 2048):
         a, b = _integer_operands(size, seed=size)
@@ -70,27 +95,40 @@ def test_bench_blocked_engine_speedup(benchmark, append_trajectory):
     a, b = _integer_operands(2048, seed=2048)
     benchmark(device_spgemm, a, b, backend="blocked")
 
-    functional_seconds, run = _timed(
-        lambda: run_model_functional("ResNet-18", scale=1.0, seed=2021)
-    )
+    run = run_model_functional("ResNet-18", scale=1.0, seed=2021)
     assert run.ohmma_issued > 0
 
     speedup_2048 = sizes[2048][0] / sizes[2048][1]
-    append_trajectory(
-        TRAJECTORY,
-        {
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "workload": f"spgemm 1024^3 + 2048^3 at ({SPARSITY}, {SPARSITY})",
-            "vectorized_seconds_1024": round(sizes[1024][0], 4),
-            "blocked_seconds_1024": round(sizes[1024][1], 4),
-            "speedup_1024": round(sizes[1024][0] / sizes[1024][1], 2),
-            "vectorized_seconds_2048": round(sizes[2048][0], 4),
-            "blocked_seconds_2048": round(sizes[2048][1], 4),
-            "speedup_2048": round(speedup_2048, 2),
-            "functional_resnet18_scale1_seconds": round(functional_seconds, 4),
-        }
-    )
     assert speedup_2048 >= MIN_SPEEDUP_2048, (
         f"blocked engine only {speedup_2048:.1f}x faster than the "
         f"vectorized engine at 2048^3 (required: {MIN_SPEEDUP_2048:.0f}x)"
+    )
+
+
+def test_bench_warp_tile_skip_speedup():
+    a, b = _block_pruned_operands(seed=17)
+    config = WarpTileConfig()
+    a_op = EncodedOperand.for_a(a)
+    share = tile_share(a_op.summary(config), a_op.k_activity)
+    assert share < TILE_PATH_MAX_SHARE  # the product takes the tile path
+
+    # Best of 3 each: a sub-second sample is too exposed to scheduler
+    # noise for a hard CI gate.  Plain arrays, so every blocked call pays
+    # its own operand summaries and statistics.
+    matmul_seconds, expected = min(
+        (_timed(lambda: np.matmul(a, b)) for _ in range(3)),
+        key=lambda sample: sample[0],
+    )
+    blocked_seconds, blocked = min(
+        (
+            _timed(lambda: device_spgemm(a, b, backend="blocked"))
+            for _ in range(3)
+        ),
+        key=lambda sample: sample[0],
+    )
+    assert np.array_equal(blocked.output, expected)
+    speedup = matmul_seconds / blocked_seconds
+    assert speedup >= MIN_TILE_SPEEDUP, (
+        f"warp-tile path only {speedup:.2f}x faster than a dense matmul on "
+        f"{share:.2f} of the tiles (required: {MIN_TILE_SPEEDUP}x)"
     )

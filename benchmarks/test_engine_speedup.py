@@ -2,16 +2,12 @@
 
 Times both functional backends on the same pruned-DNN-like workload
 (90% sparse operands), asserts that the vectorized engine keeps its
->= 10x advantage and that the two paths stay bit-identical, and appends
-the measurement to the JSON trajectory at
-``benchmarks/results/engine_speedup.json`` so speedup history survives
-across runs.
+>= 10x advantage and that the two paths stay bit-identical.
 """
 
 from __future__ import annotations
 
 import time
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -21,7 +17,6 @@ from repro.sparsity.generators import random_sparse_matrix
 SIZE = 512
 DENSITY = 0.1
 MIN_SPEEDUP = 10.0
-TRAJECTORY = "engine_speedup.json"
 
 
 def _timed(func) -> float:
@@ -31,7 +26,7 @@ def _timed(func) -> float:
     return time.perf_counter() - start
 
 
-def test_bench_engine_speedup_512(benchmark, append_trajectory):
+def test_bench_engine_speedup_512(benchmark):
     rng = np.random.default_rng(2021)
     a = random_sparse_matrix((SIZE, SIZE), DENSITY, rng)
     b = random_sparse_matrix((SIZE, SIZE), DENSITY, rng)
@@ -56,17 +51,6 @@ def test_bench_engine_speedup_512(benchmark, append_trajectory):
     assert reference.stats == vectorized.stats
 
     speedup = reference_seconds / vectorized_seconds
-    append_trajectory(
-        TRAJECTORY,
-        {
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "workload": f"spgemm {SIZE}x{SIZE}x{SIZE}",
-            "density": DENSITY,
-            "reference_seconds": round(reference_seconds, 4),
-            "vectorized_seconds": round(vectorized_seconds, 4),
-            "speedup": round(speedup, 2),
-        }
-    )
     assert speedup >= MIN_SPEEDUP, (
         f"vectorized engine only {speedup:.1f}x faster than the reference "
         f"loop (required: {MIN_SPEEDUP:.0f}x)"

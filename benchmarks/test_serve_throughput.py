@@ -5,8 +5,7 @@ images, and times it against the status-quo workflow — one
 ``run_model_functional`` call per image, which re-materialises the
 pruned weights and re-derives every weight-side encoding per call.
 Asserts the >= 3x images/sec advantage with *bit-identical* per-image
-outputs and statistics, and appends the measurements to the JSON
-trajectory at ``benchmarks/results/serve_throughput.json``.
+outputs and statistics.
 
 The session is compiled (and its lazy engine caches warmed by a
 single-image run) outside the timed region — that is the point of the
@@ -15,15 +14,13 @@ Operand memoization is disabled so the timed batch regenerates its
 activations exactly like the baseline loop does.
 
 A second, ungated pass serves the *whole* model zoo
-(:data:`repro.nn.models.DEFAULT_MODELS`) and appends one images/sec
-trajectory row per model, each batch asserted bit-identical to its
-per-image oracle.
+(:data:`repro.nn.models.DEFAULT_MODELS`), each batch asserted
+bit-identical to its per-image oracle.
 """
 
 from __future__ import annotations
 
 import time
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -36,7 +33,6 @@ MODEL = "ResNet-18"
 BATCH = 8
 SEED = 2021
 MIN_SPEEDUP = 3.0
-TRAJECTORY = "serve_throughput.json"
 
 #: Whole-zoo pass: batch served per model; per-model data scales come
 #: from the zoo's ``benchmark_scale`` metadata (Mask R-CNN runs reduced
@@ -44,10 +40,8 @@ TRAJECTORY = "serve_throughput.json"
 ZOO_BATCH = 2
 
 
-def test_bench_serve_throughput(benchmark, append_trajectory):
-    compile_start = time.perf_counter()
+def test_bench_serve_throughput(benchmark):
     compiled = compile_model(MODEL, scale=1.0, seed=SEED, memo=False)
-    compile_seconds = time.perf_counter() - compile_start
     compiled.run(1)  # warm the lazy per-layer engine caches
 
     # Best-of-2 for the gated wall clock; a single sample is too exposed
@@ -83,19 +77,6 @@ def test_bench_serve_throughput(benchmark, append_trajectory):
     benchmark(compiled.run, 2)
 
     speedup = baseline_seconds / session_seconds
-    append_trajectory(
-        TRAJECTORY,
-        {
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "workload": f"{MODEL} scale=1.0 batch={BATCH}",
-            "compile_seconds": round(compile_seconds, 4),
-            "session_seconds": round(session_seconds, 4),
-            "session_images_per_sec": round(BATCH / session_seconds, 3),
-            "baseline_seconds": round(baseline_seconds, 4),
-            "baseline_images_per_sec": round(BATCH / baseline_seconds, 3),
-            "speedup": round(speedup, 2),
-        }
-    )
     assert speedup >= MIN_SPEEDUP, (
         f"compiled session only {speedup:.2f}x faster than the per-image "
         f"run_model_functional loop at batch {BATCH} "
@@ -103,22 +84,20 @@ def test_bench_serve_throughput(benchmark, append_trajectory):
     )
 
 
-def test_bench_zoo_throughput(one_shot, append_trajectory):
-    """Serve the whole model zoo and record images/sec per model.
+def test_bench_zoo_throughput(one_shot):
+    """Serve the whole model zoo and time one batch per model.
 
     Unlike the gated ResNet-18 benchmark above, this pass has no hard
-    speedup threshold — its job is coverage (every zoo model compiles
+    speedup threshold — its job is coverage: every zoo model compiles
     and serves through the encoded-operand session, bit-identical to the
-    per-image oracle) and the per-model throughput trajectory rows.
+    per-image oracle.
     """
-    rows = []
+    images_per_sec = {}
 
     def serve_zoo():
         for model in DEFAULT_MODELS:
             scale = get_benchmark_scale(model)
-            compile_start = time.perf_counter()
             compiled = compile_model(model, scale=scale, seed=SEED, memo=False)
-            compile_seconds = time.perf_counter() - compile_start
             compiled.run(1)  # warm the lazy per-layer engine caches
             started = time.perf_counter()
             run = compiled.run(ZOO_BATCH)
@@ -132,36 +111,23 @@ def test_bench_zoo_throughput(one_shot, append_trajectory):
                 assert np.array_equal(exp.output, got.output), (
                     f"{model}/{exp.layer}"
                 )
-            rows.append(
-                {
-                    "timestamp": datetime.now(timezone.utc).isoformat(
-                        timespec="seconds"
-                    ),
-                    "workload": f"zoo {model} scale={scale} batch={ZOO_BATCH}",
-                    "compile_seconds": round(compile_seconds, 4),
-                    "session_seconds": round(session_seconds, 4),
-                    "session_images_per_sec": round(
-                        ZOO_BATCH / session_seconds, 3
-                    ),
-                }
-            )
+            images_per_sec[model] = ZOO_BATCH / session_seconds
 
     one_shot(serve_zoo)
-    assert len(rows) == len(DEFAULT_MODELS)
-    for row in rows:
-        assert row["session_images_per_sec"] > 0
-        append_trajectory(TRAJECTORY, row)
+    assert len(images_per_sec) == len(DEFAULT_MODELS)
+    for rate in images_per_sec.values():
+        assert rate > 0
 
 
-def test_bench_daemon_slo(one_shot, append_trajectory):
-    """Tail-latency SLO row for the serving daemon, same 3x gate.
+def test_bench_daemon_slo(one_shot):
+    """Tail-latency SLO check for the serving daemon, same 3x gate.
 
     A same-instant burst of 8 requests flushes as one full batch, so the
     daemon's *wall* execute time is directly comparable to the gated
     session benchmark above: the batching/queueing machinery must keep
-    the >= 3x advantage over the per-image baseline loop.  The appended
-    trajectory row adds the daemon's virtual-time tail latencies (exact
-    nearest-rank p50/p99) on top of the wall-clock throughput columns.
+    the >= 3x advantage over the per-image baseline loop, and the
+    daemon's virtual-time tail latencies (exact nearest-rank p50/p99)
+    must be ordered.
     """
     pool = SessionPool(scale=1.0, seed=SEED, memo=False)
     pool.session(MODEL).run(1)  # compile + warm outside the timed region
@@ -210,20 +176,6 @@ def test_bench_daemon_slo(one_shot, append_trajectory):
 
     daemon_seconds = report.wall_execute_seconds
     speedup = baseline_seconds / daemon_seconds
-    append_trajectory(
-        TRAJECTORY,
-        {
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "workload": f"daemon {MODEL} scale=1.0 batch={BATCH}",
-            "daemon_seconds": round(daemon_seconds, 4),
-            "daemon_images_per_sec": round(BATCH / daemon_seconds, 3),
-            "baseline_seconds": round(baseline_seconds, 4),
-            "baseline_images_per_sec": round(BATCH / baseline_seconds, 3),
-            "speedup": round(speedup, 2),
-            "p50_latency_us": round(report.latency.percentile(50.0), 3),
-            "p99_latency_us": round(report.latency.percentile(99.0), 3),
-        }
-    )
     assert report.latency.percentile(50.0) <= report.latency.percentile(99.0)
     assert speedup >= MIN_SPEEDUP, (
         f"serving daemon only {speedup:.2f}x faster than the per-image "

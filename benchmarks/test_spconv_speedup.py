@@ -5,16 +5,12 @@ im2col chained into the outer-product SpGEMM — on the *full-resolution*
 Table III ResNet-18 layer (56x56 feature map, 3x3 kernel, 128 channels,
 90% activation / 75% weight sparsity).  Asserts that the vectorized
 pipeline keeps its >= 20x advantage while staying bit-identical (lowered
-matrix, encoding, numeric output and every statistics field), and
-appends the measurement to the JSON trajectory at
-``benchmarks/results/spconv_speedup.json`` so speedup history survives
-across runs.
+matrix, encoding, numeric output and every statistics field).
 """
 
 from __future__ import annotations
 
 import time
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -27,7 +23,6 @@ FILTERS, KERNEL, STRIDE, PADDING = 128, 3, 1, 1
 ACTIVATION_DENSITY = 0.1
 WEIGHT_DENSITY = 0.25
 MIN_SPEEDUP = 20.0
-TRAJECTORY = "spconv_speedup.json"
 
 
 def _timed(func) -> float:
@@ -48,7 +43,7 @@ def _workload():
     return feature_map, weights
 
 
-def test_bench_spconv_speedup_table3_layer(benchmark, append_trajectory):
+def test_bench_spconv_speedup_table3_layer(benchmark):
     feature_map, weights = _workload()
 
     # The im2col stage alone must be bit-exact: lowered values, condensed
@@ -96,21 +91,6 @@ def test_bench_spconv_speedup_table3_layer(benchmark, append_trajectory):
     assert reference.stats == vectorized.stats
 
     speedup = reference_seconds / vectorized_seconds
-    append_trajectory(
-        TRAJECTORY,
-        {
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "workload": (
-                f"spconv {CHANNELS}x{HEIGHT}x{WIDTH} K={KERNEL} N={FILTERS} "
-                "(Table III ResNet-18 layer, full resolution)"
-            ),
-            "activation_density": ACTIVATION_DENSITY,
-            "weight_density": WEIGHT_DENSITY,
-            "reference_seconds": round(reference_seconds, 4),
-            "vectorized_seconds": round(vectorized_seconds, 4),
-            "speedup": round(speedup, 2),
-        }
-    )
     assert speedup >= MIN_SPEEDUP, (
         f"vectorized conv pipeline only {speedup:.1f}x faster than the "
         f"reference loops (required: {MIN_SPEEDUP:.0f}x)"

@@ -1,4 +1,4 @@
-"""K-panel blocked functional SpGEMM engine — the large-shape fast path.
+"""Blocked functional SpGEMM engine — the large-shape fast path.
 
 The vectorized engine (:mod:`repro.core.engine`) replays the condensed
 outer-product semantics literally: one Python-level rank-1 update per
@@ -6,29 +6,48 @@ non-empty reduction step.  That is bit-identical to the reference loop
 but still O(K) interpreter iterations, which caps Figure 21/22-sized
 numeric SpGEMMs (a 2048^3 product spends seconds in the per-k loop).
 
-This module applies the panel blocking the paper's thread-block tiling
-(Figures 8-9) already describes.  The reduction dimension is partitioned
-into K-panels of ``panel_tiles`` warp k-tiles (``WarpTileConfig.tk``
-steps each).  For every panel:
+This module applies the blocking the paper's thread-block tiling
+(Figures 8-9) already describes, along one of two paths.  A reduction
+step is *live* when its A column and its B row both hold at least one
+non-zero — the same per-k occupancy the warp-bitmap counts expose.
 
-1. the *surviving* reduction steps are selected — a step survives when
-   its A column and its B row both hold at least one non-zero, the same
-   per-k occupancy the warp-bitmap counts expose; a panel whose
-   column/row nnz is all-zero is skipped without touching the operands,
-2. the surviving columns of A and rows of B are gathered into dense
-   panel operands (a contiguous slice when the whole panel survives), and
-3. one BLAS-backed :func:`np.matmul` accumulates the panel's
-   contribution, panels visited in ascending-k order.
+K-panel path
+    The reduction dimension is partitioned into K-panels of
+    ``panel_tiles`` warp k-tiles (``WarpTileConfig.tk`` steps each).
+    For every panel the live steps are selected (a panel with none is
+    skipped without touching the operands), the live columns of A and
+    rows of B are gathered into dense panel operands (a contiguous slice
+    when the whole panel is live), and one BLAS-backed
+    :func:`np.matmul` accumulates the panel's contribution, panels
+    visited in ascending-k order.
+
+Warp-tile path
+    Each row tile of A (``WarpTileConfig.tm`` rows, one warp tile high)
+    becomes one BLAS matmul over only the live steps where that tile
+    holds a non-zero: ``out[r0:r1] = A[r0:r1, ks] @ B[ks, :]``.  A warp
+    tile whose A side is empty issues nothing, as the two-level bitmap
+    lets the hardware skip it (Section VI-D).  The per-tile step lists
+    come from the segment occupancy of A's
+    :class:`~repro.core.operands.OperandSummary`.
+
+The path is picked by :func:`tile_share` — the share of (row tile, live
+step) pairs where A's tile is non-empty, an O(K) dot product over the
+summary the same call's statistics already built — against
+:data:`TILE_PATH_MAX_SHARE`.  Block-pruned weights (RNN, BERT) sit at
+0.05-0.10 and take the warp-tile path; dense-ish conv activations and
+unstructured operands sit near 1 and take the K-panel path.
 
 Either operand may be a plain ndarray or a pre-encoded
 :class:`~repro.core.operands.EncodedOperand`.  A persistent encoded
-operand caches its per-k non-zero counts, its float64 view and — most
-importantly — its *condensed K-panels*
+operand caches its per-k non-zero counts, its float64 view, its summary
+and — on the K-panel path — its *condensed K-panels*
 (:meth:`~repro.core.operands.EncodedOperand.panels`): the candidate
 steps and gathered panel blocks of the static side, built once per
 session.  At multiply time the survivors of a panel are always a subset
 of its candidates, so the static side of every panel matmul is either
-the cached block or a gather from it.  The gathered values (and their
+the cached block or a gather from it.  The warp-tile path caches nothing
+beyond the summary: the same code gathers every block from the float64
+operands whether A is persistent or not.  The gathered values (and their
 ascending-k order) are identical either way, so cached and uncached
 runs stay bit-identical (asserted in
 ``tests/core/test_encoded_operands.py``).
@@ -42,8 +61,9 @@ bit-identical to the reference backend by construction.
 Accumulation-order guarantees
 -----------------------------
 
-Panels accumulate in ascending-k order, but *within* a panel the
-multiply-add order is whatever the BLAS kernel picks.  Consequently:
+Panels accumulate in ascending-k order, and a row tile's live steps are
+summed by one matmul, but *within* one matmul the multiply-add order is
+whatever the BLAS kernel picks.  Consequently:
 
 * on integer-valued data (all products and partial sums exactly
   representable in float64) the output is exactly equal to the reference
@@ -52,6 +72,10 @@ multiply-add order is whatever the BLAS kernel picks.  Consequently:
   the last bits; both are correct float64 evaluations of the same sum
   and agree to well within 2 float32 ulps (asserted by the Hypothesis
   parity suite in ``tests/core/test_engine_blocked.py``),
+* the output does not depend on the BLAS thread count: OpenBLAS splits a
+  matmul over output rows and columns, never over the reduction, so a
+  server that caps its threads matches an uncapped oracle byte for byte
+  (asserted in ``tests/core/test_engine_blocked.py``),
 * non-finite operands (inf/NaN) always fall back to the per-step
   condensed path, because a dense panel product would form ``0 * inf =
   NaN`` partials the condensed hardware never evaluates.  The fallback
@@ -65,6 +89,7 @@ import numpy as np
 
 from repro.core.operands import (
     EncodedOperand,
+    OperandSummary,
     as_gemm_operand,
     device_stats_from_operands,
 )
@@ -76,6 +101,48 @@ from repro.errors import ShapeError
 #: dominates the gather cost, narrow enough that all-empty panels are
 #: still skipped on highly sparse operands.
 DEFAULT_PANEL_TILES = 16
+
+#: :func:`tile_share` below which the warp-tile path runs.  For a
+#: block-pruned 4096 x 2048 A times a dense 2048 x 1024 B on a 2-vCPU
+#: host the warp-tile path measured faster up to a share of 0.25-0.33,
+#: depending on B's dtype and layout (tables under "Warp-tile skip" in
+#: ``docs/architecture.md``).
+TILE_PATH_MAX_SHARE = 0.3
+
+
+def tile_share(summary: OperandSummary, alive: np.ndarray) -> float:
+    """Share of (row tile, live step) pairs where A's row tile is non-empty.
+
+    The warp-tile path multiplies exactly these pairs, the K-panel path
+    every row tile of every live step, so this is the warp-tile path's
+    share of the K-panel path's work.  O(K) over A's summary; ``alive``
+    must hold at least one live step.
+    """
+    live_tiles = int(summary.nonempty_per_k[alive].sum())
+    return live_tiles / (summary.n_segments * int(np.count_nonzero(alive)))
+
+
+def _warp_tile_product(
+    a_op: EncodedOperand,
+    b_op: EncodedOperand,
+    summary: OperandSummary,
+    alive: np.ndarray,
+    tm: int,
+    output: np.ndarray,
+) -> np.ndarray:
+    """One matmul per ``tm``-row tile of A over the live steps it holds."""
+    a64 = a_op.dense64
+    # Cast once to C order: the row gathers below would be strided on
+    # an F-ordered B (a session's transposed activations).
+    b64 = np.ascontiguousarray(b_op.dense, dtype=np.float64)
+    live = summary.occupancy & alive
+    for tile, r0 in enumerate(range(0, output.shape[0], tm)):
+        steps = np.flatnonzero(live[tile])
+        if steps.size:
+            # The rows of a tile with no live step stay zero.
+            rows = slice(r0, r0 + tm)
+            np.matmul(a64[rows, steps], b64[steps], out=output[rows])
+    return output
 
 
 def _panel_operand(
@@ -112,10 +179,10 @@ def blocked_numeric_product(
     config: WarpTileConfig | None = None,
     panel_tiles: int = DEFAULT_PANEL_TILES,
 ) -> np.ndarray:
-    """``a @ b`` in float64 via K-panel blocked dense accumulation.
+    """``a @ b`` in float64 via warp-tile or K-panel blocked accumulation.
 
-    See the module docstring for the panel-gather algorithm and the
-    accumulation-order guarantees.  Non-finite operands delegate to
+    See the module docstring for both paths, the rule that picks one and
+    the accumulation-order guarantees.  Non-finite operands delegate to
     :func:`repro.core.engine.vectorized_numeric_product`, which never
     forms products with a zero operand.  Operands may be ndarrays or
     pre-encoded :class:`~repro.core.operands.EncodedOperand` objects.
@@ -144,6 +211,10 @@ def blocked_numeric_product(
             a_finite=a_op.all_finite,
             b_finite=b_op.all_finite,
         )
+
+    summary = a_op.segment_summary(config)
+    if tile_share(summary, alive) < TILE_PATH_MAX_SHARE:
+        return _warp_tile_product(a_op, b_op, summary, alive, config.tm, output)
 
     panel = config.tk * panel_tiles
     a_panels = a_op.panels(panel)
@@ -181,7 +252,7 @@ def blocked_device_spgemm(
     element_bytes: int = 2,
     panel_tiles: int = DEFAULT_PANEL_TILES,
 ) -> "DeviceSpGemmResult":
-    """K-panel blocked functional device-level SpGEMM.
+    """Blocked functional device-level SpGEMM.
 
     Drop-in replacement for the vectorized engine on large shapes: the
     numeric product comes from :func:`blocked_numeric_product`, every

@@ -17,10 +17,13 @@ bit-identical whether an operand arrives dense or pre-encoded
   behind :class:`~repro.core.spgemm_device.DeviceStats`.  Every
   cross-operand statistic is a dot product of per-``k`` vectors, so the
   summaries compose in O(K) via :func:`device_stats_from_operands`.
+  Its per-segment occupancy also gives the blocked engine's warp-tile
+  path its per-row-tile step lists.
 * :meth:`EncodedOperand.two_level` — the hierarchical bitmap the
   reference backend walks (skipping its per-call ``from_dense``).
 * :meth:`EncodedOperand.panels` — condensed K-panel blocks for the
-  blocked engine (the static side of every panel matmul, gathered once).
+  blocked engine's K-panel path (the static side of every panel
+  matmul, gathered once).
 * :attr:`EncodedOperand.dense64` / :attr:`EncodedOperand.k_nnz` /
   :attr:`EncodedOperand.all_finite` — the numeric-path ingredients.
 
@@ -114,6 +117,9 @@ class OperandSummary:
         groups_per_k: quantised OHMMA operand groups summed over
             segments, per reduction step.
         nonempty_per_k: segments holding at least one non-zero, per step.
+        occupancy: whether each segment holds a non-zero at each step —
+            (segments, K) for A, (K, segments) for B; ``nonempty_per_k``
+            is its sum over segments.
         nnz_per_k: non-zeros per reduction step (= per-column counts of
             A / per-row counts of B).
         occupied_tiles_per_ktile: warp tiles holding at least one
@@ -128,6 +134,7 @@ class OperandSummary:
     n_segments: int
     groups_per_k: np.ndarray
     nonempty_per_k: np.ndarray
+    occupancy: np.ndarray
     nnz_per_k: np.ndarray
     occupied_tiles_per_ktile: np.ndarray
     nnz: int
@@ -144,9 +151,10 @@ def _build_summary(
     if side == "a":
         tile, quantum = config.tm, config.ohmma_m
         seg = segment_nnz(mask, tile, axis=0)  # (segments, K)
+        occupancy = seg > 0
         groups = (seg + quantum - 1) // quantum
         groups_per_k = groups.sum(axis=0)
-        nonempty_per_k = (seg > 0).sum(axis=0)
+        nonempty_per_k = occupancy.sum(axis=0)
         nnz_per_k = seg.sum(axis=0)
         tile_nnz = segment_nnz(seg, config.tk, axis=1)  # (segments, k_tiles)
         occupied = (tile_nnz > 0).sum(axis=0)
@@ -155,9 +163,10 @@ def _build_summary(
     else:
         tile, quantum = config.tn, config.ohmma_n
         seg = segment_nnz(mask, tile, axis=1)  # (K, segments)
+        occupancy = seg > 0
         groups = (seg + quantum - 1) // quantum
         groups_per_k = groups.sum(axis=1)
-        nonempty_per_k = (seg > 0).sum(axis=1)
+        nonempty_per_k = occupancy.sum(axis=1)
         nnz_per_k = seg.sum(axis=1)
         tile_nnz = segment_nnz(seg, config.tk, axis=0)  # (k_tiles, segments)
         occupied = (tile_nnz > 0).sum(axis=1)
@@ -170,6 +179,7 @@ def _build_summary(
         n_segments=seg.shape[0] if side == "a" else seg.shape[1],
         groups_per_k=groups_per_k,
         nonempty_per_k=nonempty_per_k,
+        occupancy=occupancy,
         nnz_per_k=nnz_per_k,
         occupied_tiles_per_ktile=occupied,
         nnz=nnz,
@@ -208,9 +218,9 @@ class EncodedOperand:
         side: ``"a"`` (left operand, K along columns) or ``"b"`` (right
             operand, K along rows).
         persistent: whether the operand outlives a single call.  The
-            blocked engine only builds K-panel caches on persistent
-            operands; throwaway wrappers of plain ndarrays use the
-            direct gather path instead.
+            blocked engine's K-panel path only builds K-panel caches on
+            persistent operands; throwaway wrappers of plain ndarrays
+            use the direct gather path instead.
     """
 
     __slots__ = (
@@ -333,6 +343,20 @@ class EncodedOperand:
             summary = _build_summary(self.dense, self.side, config, element_bytes)
             self._summaries[key] = summary
         return summary
+
+    def segment_summary(self, config: WarpTileConfig) -> OperandSummary:
+        """A cached summary with ``config``'s segment tile, else a new one.
+
+        The segment count, occupancy and per-step counts depend only on
+        the segment tile (``tm`` for A, ``tn`` for B), not on the element
+        width or OHMMA quantum, so any summary built with that tile
+        serves — typically the one the same call's statistics just built.
+        """
+        tile = config.tm if self.side == "a" else config.tn
+        for key, summary in self._summaries.items():
+            if key[0] == tile:
+                return summary
+        return self.summary(config)
 
     def two_level(self, config: WarpTileConfig, element_bytes: int = 2):
         """The hierarchical two-level bitmap of this operand (cached).

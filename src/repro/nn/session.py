@@ -13,9 +13,10 @@ precisely the amortisation the paper's bitmap encoding is designed for
 * every layer's pruned weights are materialised once (memoized across
   compiles via :mod:`repro.nn.synthetic`) and encoded once as a
   persistent :class:`~repro.core.operands.EncodedOperand` — the
-  closed-form statistics summary, the float64 view, the per-k non-zero
-  counts and (on first blocked multiply) the condensed K-panels are all
-  cached for the session lifetime;
+  closed-form statistics summary (with the segment occupancy the blocked
+  engine's warp-tile path plans from), the float64 view, the per-k
+  non-zero counts and (on the first K-panel multiply) the condensed
+  K-panels are all cached for the session lifetime;
 * :meth:`CompiledModel.run` serves a whole batch: per layer, the B
   per-image operands are stacked along the fused GEMM's batch axis (the
   lowered-row M dimension for conv layers, the transposed-activation N
@@ -37,11 +38,14 @@ make this hold (asserted in ``tests/nn/test_session.py``):
   element receives its products independently of all other rows and
   columns — so vectorized layers genuinely execute as one fused SpGEMM
   over the stacked operand;
-* BLAS matmuls are *not* fold-safe (thread splits and kernel selection
-  change with the operand shape), so blocked layers keep per-image panel
-  products inside the batched call; the fused work they share is the
-  session-cached weight side (condensed K-panels, float64 view, per-k
-  counts, statistics summary).
+* BLAS matmuls are *not* fold-safe (kernel selection and blocking
+  change with the operand shape), so blocked layers keep per-image
+  blocked products inside the batched call — K-panel matmuls, or one
+  matmul per non-empty row tile of block-pruned GEMM weights (the RNN's
+  and BERT's) on the warp-tile path; the fused work they share is the
+  session-cached weight side (statistics summary and its segment
+  occupancy, float64 view, per-k counts, and on the K-panel path the
+  condensed K-panels).
 
 Per-image statistics are composed from the cached weight-side summary
 and the image's own operand summary; the fused run's statistics are, by
@@ -411,7 +415,8 @@ def compile_model(
     Materialises and encodes every layer's pruned weights once: the
     statistics summaries, float64 views and per-k counts are warmed
     eagerly; the blocked engine's condensed K-panels attach on the first
-    batch and persist for the session lifetime.
+    batch that takes its K-panel path and persist for the session
+    lifetime.
 
     Args:
         model: a :class:`ModelDefinition` or registry name.

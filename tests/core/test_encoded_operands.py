@@ -7,9 +7,10 @@ work is skipped, never the result.  Hypothesis drives randomized
 (shape, sparsity) draws through every backend and asserts the numeric
 output is *bit-identical* and every ``DeviceStats`` / ``WarpStats``
 field equal between the dense-input call and each encoded-input
-variant — including warmed condensed K-panels, cache reuse across
-repeated calls, mismatched encoding geometry (re-encoded transparently)
-and non-finite values.
+variant — including warmed condensed K-panels, a warmed operand on the
+blocked engine's warp-tile path, cache reuse across repeated calls,
+mismatched encoding geometry (re-encoded transparently) and non-finite
+values.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.api import SparseMatrix
-from repro.core.engine_blocked import DEFAULT_PANEL_TILES, blocked_device_spgemm
+from repro.core.engine_blocked import (
+    DEFAULT_PANEL_TILES,
+    TILE_PATH_MAX_SHARE,
+    blocked_device_spgemm,
+    tile_share,
+)
 from repro.core.operands import EncodedOperand, as_gemm_operand
 from repro.core.spgemm_device import BACKENDS, device_spgemm
 from repro.core.spgemm_warp import WarpTileConfig
@@ -103,6 +109,40 @@ class TestEncodedParity:
         assert len(a_op._summaries) == 1  # cache hit, not a rebuild
         assert np.array_equal(first.output, again.output)
         assert first.stats == again.stats
+
+
+class TestWarpTilePath:
+    def test_warmed_persistent_a_bytes_identical_to_plain_arrays(self):
+        # A session's GEMM layer: block-pruned (K, N) weights used
+        # transposed on side A, float32 activations transposed on side B.
+        rng = np.random.default_rng(19)
+        blocks = rng.random((1024 // 32, 512 // 32)) < 0.08
+        weights = np.kron(blocks, np.ones((32, 32))) * rng.uniform(
+            0.5, 1.5, (1024, 512)
+        )
+        activations = random_sparse_matrix((96, 1024), 0.9, rng)
+        config = WarpTileConfig()
+        a_op = EncodedOperand.for_a(weights.T).warm(config)
+        assert (
+            tile_share(a_op.summary(config), a_op.k_activity)
+            < TILE_PATH_MAX_SHARE
+        )
+        plain = device_spgemm(weights.T, activations.T, backend="blocked")
+        for _ in range(2):  # first and repeated use of the warmed operand
+            encoded = device_spgemm(a_op, activations.T, backend="blocked")
+            assert encoded.output.tobytes() == plain.output.tobytes()
+            assert encoded.stats == plain.stats
+        assert a_op._panels == {}  # the tile path builds no K-panel cache
+
+    def test_path_choice_reuses_the_statistics_summary(self):
+        # The plan comes from the summary the call's statistics built,
+        # whatever the element width: no second summary of A.
+        rng = np.random.default_rng(21)
+        blocks = rng.random((8, 16)) < 0.1
+        a = np.kron(blocks, np.ones((32, 32)))
+        a_op = EncodedOperand.for_a(a)
+        device_spgemm(a_op, np.ones((512, 8)), element_bytes=4, backend="blocked")
+        assert len(a_op._summaries) == 1
 
 
 class TestEncodedAdversarial:

@@ -12,19 +12,30 @@ through all three functional backends and asserts:
 * on general float data the blocked output stays within 2 float32 ulps
   of the reference, with the vectorized path still bit-identical.
 
+A second strategy draws block-pruned A operands whose tile share
+straddles :data:`TILE_PATH_MAX_SHARE`, so both the warp-tile and the
+K-panel path run; every such case also asserts which path ran.
+
 Adversarial cases get dedicated tests: all-empty panels, K not a
 multiple of the panel size, single-row/column operands, and non-finite
-values (which must fall back to the bit-exact condensed path).
+values (which must fall back to the bit-exact condensed path).  Both
+paths must also give byte-identical outputs whatever the BLAS thread
+count, since a server caps it while the oracles run uncapped.
 """
 
 from __future__ import annotations
+
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import engine_blocked
 from repro.core.engine_blocked import (
     DEFAULT_PANEL_TILES,
+    TILE_PATH_MAX_SHARE,
     blocked_device_spgemm,
     blocked_numeric_product,
 )
@@ -36,6 +47,7 @@ from repro.core.spgemm_device import (
 from repro.core.spgemm_warp import WarpTileConfig
 from repro.errors import ShapeError
 from repro.sparsity.generators import random_sparse_matrix
+from repro.utils import blas
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -71,6 +83,73 @@ def integer_operand_pairs(draw):
 @st.composite
 def float_operand_pairs(draw):
     return _draw_operands(draw, integer_valued=False)
+
+
+def _block_pruned(rng, shape, block, density):
+    """Boolean mask of ``block`` x ``block`` non-zero blocks, at least one."""
+    rows, cols = -(-shape[0] // block), -(-shape[1] // block)
+    blocks = rng.random((rows, cols)) < density
+    blocks[rng.integers(rows), rng.integers(cols)] = True
+    tile = np.ones((block, block), dtype=bool)
+    return np.kron(blocks, tile)[: shape[0], : shape[1]]
+
+
+@st.composite
+def block_pruned_pairs(draw, integer_valued):
+    """A pruned in square blocks, B with some all-zero rows.
+
+    M is never a multiple of ``tm`` (32) and K never a multiple of the
+    256-step default panel.  Blocks of 32 rows keep the tile share near
+    the block density (0.02-0.3, the warp-tile side of the threshold);
+    8- and 16-row blocks put several blocks in one row tile and push the
+    share up to the K-panel side.
+    """
+    m = draw(st.sampled_from([100, 130, 200, 250]))
+    k = draw(st.sampled_from([40, 100, 300]))
+    n = draw(st.sampled_from([1, 16, 33]))
+    block = draw(st.sampled_from([8, 16, 32]))
+    density = draw(st.floats(0.02, 0.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    a_mask = _block_pruned(rng, (m, k), block, density)
+    b_mask = (rng.random((k, 1)) < draw(st.sampled_from([0.7, 1.0]))) & (
+        rng.random((k, n)) < 0.8
+    )
+    if integer_valued:
+        a = np.where(a_mask, rng.integers(-8, 9, (m, k)), 0).astype(np.float64)
+        b = np.where(b_mask, rng.integers(-8, 9, (k, n)), 0).astype(np.float64)
+    else:
+        a = np.where(a_mask, rng.uniform(0.5, 1.5, (m, k)), 0.0)
+        b = np.where(b_mask, rng.uniform(0.5, 1.5, (k, n)), 0.0)
+    return a, b
+
+
+def expected_path(a, b, tm=32):
+    """The path the tile-share rule picks, computed from the dense arrays.
+
+    ``None`` when no reduction step is live and neither path runs.
+    """
+    alive = (a != 0).any(axis=0) & (b != 0).any(axis=1)
+    if not alive.any():
+        return None
+    tiles = np.array(
+        [(a[r0 : r0 + tm] != 0).any(axis=0) for r0 in range(0, a.shape[0], tm)]
+    )
+    share = tiles[:, alive].mean()
+    return "tile" if share < TILE_PATH_MAX_SHARE else "panel"
+
+
+def run_spying_paths(func, *args, **kwargs):
+    """``(result, path)``: which blocked-engine path ``func`` ran."""
+    with mock.patch.object(
+        engine_blocked, "_warp_tile_product",
+        wraps=engine_blocked._warp_tile_product,
+    ) as tile, mock.patch.object(
+        engine_blocked, "_panel_operand", wraps=engine_blocked._panel_operand
+    ) as panel:
+        result = func(*args, **kwargs)
+    assert not (tile.called and panel.called)
+    path = "tile" if tile.called else "panel" if panel.called else None
+    return result, path
 
 
 def assert_within_float32_ulps(actual, expected, ulps=2):
@@ -115,6 +194,65 @@ class TestHypothesisParity:
         blocked = blocked_device_spgemm(a, b, panel_tiles=panel_tiles)
         assert reference.stats == blocked.stats
         assert_within_float32_ulps(blocked.output, reference.output)
+
+
+class TestWarpTilePath:
+    @SETTINGS
+    @given(block_pruned_pairs(integer_valued=True))
+    def test_integer_valued_data_is_exact_on_either_path(self, operands):
+        a, b = operands
+        reference = device_spgemm(a, b, backend="reference")
+        blocked, path = run_spying_paths(device_spgemm, a, b, backend="blocked")
+        assert path == expected_path(a, b)
+        assert np.array_equal(reference.output, blocked.output)
+        assert reference.stats == blocked.stats
+
+    @SETTINGS
+    @given(block_pruned_pairs(integer_valued=False))
+    def test_float_data_within_two_ulps_on_either_path(self, operands):
+        a, b = operands
+        reference = device_spgemm(a, b, backend="reference")
+        blocked, path = run_spying_paths(device_spgemm, a, b, backend="blocked")
+        assert path == expected_path(a, b)
+        assert reference.stats == blocked.stats
+        assert_within_float32_ulps(blocked.output, reference.output)
+
+
+class TestBlasThreadCount:
+    """Capping BLAS to one thread must not change a single output byte.
+
+    A server caps OpenBLAS at cores // workers threads while the
+    benchmark's and the soak's oracles run uncapped, and both compare
+    digests of the bytes.
+    """
+
+    @staticmethod
+    def _operands(path):
+        rng = np.random.default_rng(23)
+        if path == "tile":
+            mask = _block_pruned(rng, (512, 1024), 32, 0.1)
+            a = np.where(mask, rng.uniform(0.5, 1.5, mask.shape), 0.0)
+        else:
+            a = random_sparse_matrix((512, 1024), 0.5, rng)
+        # A session's B: transposed float32 activations (F-ordered).
+        b = random_sparse_matrix((256, 1024), 0.9, rng).T
+        return a, b
+
+    @pytest.mark.parametrize("path", ["panel", "tile"])
+    def test_capped_output_is_byte_identical(self, path):
+        original = blas.blas_thread_counts()
+        if not original or max(original.values()) <= 1:
+            pytest.skip("BLAS already runs one thread: the cap cannot lower it")
+        a, b = self._operands(path)
+        uncapped, ran = run_spying_paths(blocked_numeric_product, a, b)
+        assert ran == path
+        try:
+            blas.cap_blas_threads(len(os.sched_getaffinity(0)))
+            assert set(blas.blas_thread_counts().values()) == {1}
+            capped = blocked_numeric_product(a, b)
+        finally:
+            blas.restore_blas_threads(original)
+        assert capped.tobytes() == uncapped.tobytes()
 
 
 class TestAdversarialCases:
