@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the paper's design choices.
 
 Three ablations:
 
@@ -9,7 +9,7 @@ Three ablations:
 
 import numpy as np
 
-from repro.core.spgemm_device import count_device_instructions
+from repro.core.operands import device_stats_from_operands
 from repro.core.spgemm_warp import WarpTileConfig
 from repro.hw.accumulation_buffer import AccumulationBuffer, AccumulationBufferConfig
 from repro.pruning.movement import block_movement_prune
@@ -24,8 +24,8 @@ def test_ablation_warp_tile_size(one_shot):
 
     def sweep():
         return {
-            tile: count_device_instructions(
-                a, b, config=WarpTileConfig(tm=tile, tn=tile)
+            tile: device_stats_from_operands(
+                a, b, WarpTileConfig(tm=tile, tn=tile)
             ).instruction_speedup
             for tile in (16, 32, 64)
         }
@@ -45,15 +45,15 @@ def test_ablation_two_level_bitmap_on_clustered_weights(one_shot):
 
     def sweep():
         return (
-            count_device_instructions(clustered, activations),
-            count_device_instructions(unstructured, activations),
+            device_stats_from_operands(clustered, activations),
+            device_stats_from_operands(unstructured, activations),
         )
 
-    clustered_counts, unstructured_counts = one_shot(sweep)
-    assert clustered_counts.warp_tile_pairs_skipped > 0
-    assert unstructured_counts.warp_tile_pairs_skipped == 0
+    clustered_stats, unstructured_stats = one_shot(sweep)
+    assert clustered_stats.warp_tile_pairs_skipped > 0
+    assert unstructured_stats.warp_tile_pairs_skipped == 0
     assert (
-        clustered_counts.instruction_speedup > unstructured_counts.instruction_speedup
+        clustered_stats.instruction_speedup > unstructured_stats.instruction_speedup
     )
 
 

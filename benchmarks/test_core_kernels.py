@@ -9,9 +9,10 @@ import numpy as np
 
 from repro.core.im2col_bitmap import bitmap_im2col
 from repro.core.im2col_dense import dense_im2col
+from repro.core.operands import device_stats_from_operands
 from repro.core.reference import reference_conv2d, reference_gemm
 from repro.core.spconv import sparse_conv2d
-from repro.core.spgemm_device import count_device_instructions, device_spgemm
+from repro.core.spgemm_device import device_spgemm
 from repro.sparsity.generators import random_sparse_matrix
 
 
@@ -27,8 +28,8 @@ def test_bench_instruction_counter_large(benchmark):
     rng = np.random.default_rng(1)
     a = random_sparse_matrix((1024, 1024), 0.3, rng)
     b = random_sparse_matrix((1024, 1024), 0.1, rng)
-    counts = benchmark(count_device_instructions, a, b)
-    assert counts.instruction_speedup > 1.5
+    stats = benchmark(device_stats_from_operands, a, b)
+    assert stats.instruction_speedup > 1.5
 
 
 def test_bench_bitmap_im2col(benchmark):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.spgemm_device import count_device_instructions
+from repro.core.operands import device_stats_from_operands
 from repro.core.spgemm_warp import WarpTileConfig
 from repro.experiments.report import format_rows
 from repro.hw.area_model import AreaPowerModel
@@ -37,15 +37,15 @@ def main() -> None:
     for tile in (8, 16, 32, 64):
         buffer_kb = tile * tile * 4 / 1024.0
         config = WarpTileConfig(tm=tile, tn=tile, tk=16)
-        counts = count_device_instructions(activations, weights, config=config)
+        stats = device_stats_from_operands(activations, weights, config)
         buffer = area_model.shared_accumulation_buffer(buffer_kb)
         rows.append(
             {
                 "warp_tile": f"{tile}x{tile}",
                 "buffer_kib_per_subcore": buffer_kb,
                 "buffer_area_mm2_total": buffer.area_mm2,
-                "instruction_speedup": counts.instruction_speedup,
-                "warp_tile_pairs_skipped": counts.warp_tile_pairs_skipped,
+                "instruction_speedup": stats.instruction_speedup,
+                "warp_tile_pairs_skipped": stats.warp_tile_pairs_skipped,
             }
         )
     print(

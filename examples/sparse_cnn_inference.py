@@ -17,13 +17,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.reference import reference_conv2d
+from repro.core.spconv import CompiledConvWeights, sparse_conv2d
 from repro.nn.activations import measure_activation_sparsity, relu
-from repro.nn.layers import Conv2dLayer
 from repro.pruning.agp import agp_prune
 
 
-def build_network(rng: np.random.Generator) -> list[Conv2dLayer]:
-    """Three AGP-pruned convolution layers of growing width."""
+def build_network(
+    rng: np.random.Generator,
+) -> list[tuple[str, np.ndarray, CompiledConvWeights]]:
+    """Three AGP-pruned convolution layers of growing width.
+
+    Each layer keeps its dense weights, for the reference check, and
+    their compiled form: flattened and bitmap-encoded once, then reused
+    by every convolution.
+    """
     shapes = [
         ("conv1", 4, 8, 0.6),
         ("conv2", 8, 16, 0.75),
@@ -33,7 +40,7 @@ def build_network(rng: np.random.Generator) -> list[Conv2dLayer]:
     for name, c_in, c_out, target_sparsity in shapes:
         weights = rng.standard_normal((c_out, c_in, 3, 3))
         pruned = agp_prune(weights, final_sparsity=target_sparsity, steps=5)
-        layers.append(Conv2dLayer(name=name, weights=pruned, stride=1, padding=1))
+        layers.append((name, pruned, CompiledConvWeights.from_dense(pruned)))
     return layers
 
 
@@ -47,28 +54,25 @@ def main() -> None:
 
     print(f"input activation sparsity: {measure_activation_sparsity(feature_map):.2%}\n")
 
-    for layer in layers:
-        result = layer.forward(feature_map)
+    for name, weights, compiled in layers:
+        result = relu(
+            sparse_conv2d(feature_map, compiled, stride=1, padding=1).output
+        )
 
         # Cross-check against the dense reference convolution + ReLU.
-        reference = np.maximum(
-            reference_conv2d(feature_map, layer.weights, 1, 1), 0
-        )
-        assert np.allclose(result, reference), f"{layer.name}: mismatch vs reference"
+        reference = np.maximum(reference_conv2d(feature_map, weights, 1, 1), 0)
+        assert np.allclose(result, reference), f"{name}: mismatch vs reference"
 
-        weight_sparsity = 1.0 - np.count_nonzero(layer.weights) / layer.weights.size
-        print(f"{layer.name}:")
-        print(f"  weight sparsity (AGP)     : {weight_sparsity:.2%}")
+        print(f"{name}:")
+        print(f"  weight sparsity (AGP)     : {compiled.weight_sparsity:.2%}")
         print(f"  output activation sparsity: {measure_activation_sparsity(result):.2%}")
         feature_map = result
 
     print("\nall layers match the dense reference convolution")
 
     # Show what the accelerator would do for the final layer.
-    from repro.core.spconv import sparse_conv2d
-
-    last = layers[-1]
-    stats = sparse_conv2d(feature_map, last.weights, 1, 1).stats
+    _, _, last = layers[-1]
+    stats = sparse_conv2d(feature_map, last, 1, 1).stats
     print(
         f"\nfinal layer on the dual-side sparse Tensor Core: "
         f"{stats.gemm.instruction_speedup:.2f}x fewer OHMMA instructions, "

@@ -11,10 +11,13 @@ Modules:
   (Figure 5).
 * :mod:`repro.core.spgemm_device` — device-level tiled SpGEMM using the
   two-level bitmap (Figures 8 and 9).
-* :mod:`repro.core.engine` — the NumPy-vectorized functional execution
-  engine behind the default ``backend="vectorized"`` path.
+* :mod:`repro.core.engine` / :mod:`repro.core.engine_blocked` — the
+  vectorized and K-panel blocked functional engines that the default
+  ``backend="auto"`` picks between by workload size.
 * :mod:`repro.core.operands` — pre-encoded GEMM operands (encode once,
-  multiply many times) shared by every functional engine.
+  multiply many times) shared by every functional engine, and
+  ``device_stats_from_operands``, the one instruction and traffic
+  counter.
 * :mod:`repro.core.im2col_dense` / ``im2col_outer`` / ``im2col_csr`` /
   ``im2col_bitmap`` — the four im2col variants compared in Table III and
   Figure 10/11.

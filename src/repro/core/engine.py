@@ -6,21 +6,20 @@ path at a few thousand elements per side.  This module provides the
 NumPy-vectorized replacement: the numeric product is computed with
 blocked dense math (rank-1 updates in reduction order, so rounding is
 bit-identical to the reference loop), while the full
-:class:`~repro.core.spgemm_device.DeviceStats` is derived in closed form
-from the same per-segment non-zero reductions that power
-:func:`~repro.core.spgemm_device.count_device_instructions`.
+:class:`~repro.core.spgemm_device.DeviceStats` comes in closed form from
+:func:`repro.core.operands.device_stats_from_operands`, the library's one
+statistics function.
 
-The closed-form reductions live in :mod:`repro.core.operands`: every
-cross-operand statistic factors into dot products of per-side per-``k``
-vectors, which an :class:`~repro.core.operands.EncodedOperand` caches
-for the lifetime of a serving session.  Operands may therefore arrive
-either dense or pre-encoded; the engine computes identical results
-(and statistics) in both cases.
+Every cross-operand statistic factors into dot products of per-side
+per-``k`` vectors, which an :class:`~repro.core.operands.EncodedOperand`
+caches for the lifetime of a serving session.  Operands may therefore
+arrive either dense or pre-encoded; the engine computes identical
+results (and statistics) in both cases.
 
 For Figure 21/22-sized shapes the K-panel blocked engine
 (:mod:`repro.core.engine_blocked`) replaces the per-step rank-1 loop
-with one BLAS matmul per K-panel; it reuses this module's
-closed-form statistics unchanged.
+with one BLAS matmul per K-panel; its statistics come from the same
+function.
 
 The engine is cross-checked against the reference loop (kept behind
 ``backend="reference"``) in ``tests/core/test_engine.py``: numeric output
@@ -51,20 +50,6 @@ import numpy as np
 
 from repro.core.operands import as_gemm_operand, device_stats_from_operands
 from repro.core.spgemm_warp import WarpTileConfig
-from repro.errors import ShapeError
-
-
-def operand_k_activity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean mask of reduction steps that contribute any product.
-
-    Step ``k`` is active when column ``k`` of A and row ``k`` of B both
-    hold at least one non-zero — the per-k occupancy the warp-bitmap
-    counts expose.  Shared by the per-step vectorized engine and the
-    K-panel blocked engine (:mod:`repro.core.engine_blocked`).
-    """
-    a_col_nnz = np.count_nonzero(a, axis=0)
-    b_row_nnz = np.count_nonzero(b, axis=1)
-    return (a_col_nnz > 0) & (b_row_nnz > 0)
 
 
 def vectorized_numeric_product(
@@ -119,29 +104,6 @@ def vectorized_numeric_product(
     return output
 
 
-def vectorized_device_stats(
-    a: np.ndarray,
-    b: np.ndarray,
-    config: WarpTileConfig,
-    element_bytes: int = 2,
-) -> "DeviceStats":
-    """Closed-form :class:`DeviceStats` of the tiled dual-side SpGEMM.
-
-    Every field matches what the reference loop would accumulate while
-    visiting each (warp-tile pair, set) — including the actual (clipped)
-    reduction extents of edge tiles, which the padded formulas of
-    :func:`~repro.core.spgemm_device.count_device_instructions`
-    approximate with full tiles.  Thin wrapper over the per-operand
-    summaries of :mod:`repro.core.operands`.
-    """
-    return device_stats_from_operands(
-        as_gemm_operand(a, "a"),
-        as_gemm_operand(b, "b"),
-        config,
-        element_bytes=element_bytes,
-    )
-
-
 def vectorized_device_spgemm(
     a,
     b,
@@ -162,13 +124,8 @@ def vectorized_device_spgemm(
     """
     from repro.core.spgemm_device import DeviceSpGemmResult
 
-    config = config or WarpTileConfig()
     a_op = as_gemm_operand(a, "a", "a")
     b_op = as_gemm_operand(b, "b", "b")
-    if a_op.shape[1] != b_op.shape[0]:
-        raise ShapeError(
-            f"inner dimensions differ: {a_op.shape} @ {b_op.shape}"
-        )
     stats = device_stats_from_operands(
         a_op, b_op, config, element_bytes=element_bytes
     )

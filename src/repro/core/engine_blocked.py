@@ -266,8 +266,6 @@ def blocked_device_spgemm(
     config = config or WarpTileConfig()
     a_op = as_gemm_operand(a, "a", "a")
     b_op = as_gemm_operand(b, "b", "b")
-    if a_op.shape[1] != b_op.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a_op.shape} @ {b_op.shape}")
     stats = device_stats_from_operands(
         a_op, b_op, config, element_bytes=element_bytes
     )

@@ -16,7 +16,8 @@ bit-identical whether an operand arrives dense or pre-encoded
 * :meth:`EncodedOperand.summary` — the per-side closed-form reductions
   behind :class:`~repro.core.spgemm_device.DeviceStats`.  Every
   cross-operand statistic is a dot product of per-``k`` vectors, so the
-  summaries compose in O(K) via :func:`device_stats_from_operands`.
+  summaries compose in O(K) via :func:`device_stats_from_operands`, the
+  library's only instruction and traffic counter.
   Its per-segment occupancy also gives the blocked engine's warp-tile
   path its per-row-tile step lists.
 * :meth:`EncodedOperand.two_level` — the hierarchical bitmap the
@@ -27,9 +28,10 @@ bit-identical whether an operand arrives dense or pre-encoded
 * :attr:`EncodedOperand.dense64` / :attr:`EncodedOperand.k_nnz` /
   :attr:`EncodedOperand.all_finite` — the numeric-path ingredients.
 
-``device_spgemm`` (and therefore ``spgemm`` / ``sparse_conv2d``) accepts
-an :class:`EncodedOperand`, a :class:`~repro.formats.hierarchical.TwoLevelBitmapMatrix`,
-a :class:`~repro.core.api.SparseMatrix` or a plain ndarray for either
+``device_spgemm`` (and therefore ``spgemm`` / ``sparse_conv2d``) and
+:func:`device_stats_from_operands` accept an :class:`EncodedOperand`, a
+:class:`~repro.formats.hierarchical.TwoLevelBitmapMatrix`, a
+:class:`~repro.core.api.SparseMatrix` or a plain ndarray for either
 side; :func:`as_gemm_operand` normalises them.  Operands wrapped from a
 persistent encoding object keep their caches attached to that object, so
 repeated calls with the same encoding pay the reductions only once.
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.spgemm_warp import WarpTileConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ShapeError
 from repro.utils.tiling import num_tiles
 from repro.utils.validation import check_2d
 
@@ -500,23 +502,37 @@ def as_gemm_operand(operand, side: str, name: str = "operand") -> EncodedOperand
 
 
 def device_stats_from_operands(
-    a_op: EncodedOperand,
-    b_op: EncodedOperand,
-    config: WarpTileConfig,
+    a,
+    b,
+    config: WarpTileConfig | None = None,
     element_bytes: int = 2,
 ) -> "DeviceStats":
-    """Compose the full :class:`DeviceStats` from two operand summaries.
+    """The full :class:`DeviceStats` of the tiled dual-side SpGEMM ``a @ b``.
 
-    Produces exactly the closed form of
-    :func:`repro.core.engine.vectorized_device_stats` — every field is a
-    dot product of the cached per-``k`` vectors plus pure geometry, so a
-    session that caches the static side pays only the O(K) composition
-    per call.
+    The library's one instruction and traffic counter: the engines, the
+    inference sessions and the kernel cost models all read their
+    statistics here, without forming the product.  Either operand may be
+    anything :func:`as_gemm_operand` accepts, plain arrays included.
+
+    Every field is a dot product of the per-side per-``k`` summary
+    vectors plus pure geometry, so a session that caches the static side
+    pays only the O(K) composition per call.  Each one equals what the
+    reference loop accumulates while visiting every (warp-tile pair,
+    set): edge tiles count their clipped reduction extents, and empty
+    warp tiles store no element bitmap.
+
+    Raises:
+        ShapeError: the inner dimensions differ.
     """
     from repro.core.merge import MergeStats
     from repro.core.spgemm_device import DeviceStats
     from repro.core.spgemm_warp import WarpStats
 
+    config = config or WarpTileConfig()
+    a_op = as_gemm_operand(a, "a", "a")
+    b_op = as_gemm_operand(b, "b", "b")
+    if a_op.shape[1] != b_op.shape[0]:
+        raise ShapeError(f"inner dimensions differ: {a_op.shape} @ {b_op.shape}")
     sa = a_op.summary(config, element_bytes)
     sb = b_op.summary(config, element_bytes)
     m_dim, k_dim = sa.shape

@@ -10,7 +10,7 @@ The convolution pipeline the paper proposes is:
    the activation and the weight side.
 
 This module provides the functional pipeline and its combined statistics;
-the latency model lives in :mod:`repro.kernels.conv_dual_sparse`.
+the latency models live in :mod:`repro.kernels.conv_methods`.
 """
 
 from __future__ import annotations

@@ -7,25 +7,29 @@ warp-level SpGEMM of :mod:`repro.core.spgemm_warp`.  The two-level bitmap
 adds a warp-bit per input tile so a pair in which either tile is entirely
 empty is skipped without issuing a single instruction.
 
-Four execution paths are provided:
+Three execution paths are provided, all behind :func:`device_spgemm`'s
+``backend=``:
 
-* :func:`device_spgemm` with ``backend="auto"`` (the default) — picks
-  the best functional engine for the shape: the K-panel blocked engine
-  (:mod:`repro.core.engine_blocked`, one BLAS matmul per K-panel) for
-  large workloads, the per-step vectorized engine otherwise.
-* :func:`device_spgemm` with ``backend="vectorized"`` — the NumPy
-  per-step engine of :mod:`repro.core.engine`: numeric output and
-  statistics bit-identical to the reference loop.
-* :func:`device_spgemm` with ``backend="reference"`` — the original
-  per-warp-tile Python loop, kept as the oracle the engines are
-  cross-checked against (``tests/core/test_engine.py``,
-  ``tests/core/test_engine_blocked.py``) and as the only path able to
+* ``"blocked"`` — the K-panel blocked engine of
+  :mod:`repro.core.engine_blocked`: one BLAS matmul per K-panel, or per
+  non-empty row tile of a block-pruned A.
+* ``"vectorized"`` — the NumPy per-step engine of
+  :mod:`repro.core.engine`: numeric output and statistics bit-identical
+  to the reference loop.
+* ``"reference"`` — the original per-warp-tile Python loop, kept as the
+  oracle the engines and the statistics function are cross-checked
+  against (``tests/core/test_engine.py``,
+  ``tests/core/test_engine_blocked.py``,
+  ``tests/core/test_spgemm_device.py``) and as the only path able to
   replay accumulation-buffer access positions.
-* :func:`count_device_instructions` — the exact *counting* path.  It
-  computes instruction counts with vectorised NumPy reductions without
-  materialising the product at all, so it stays the cheapest option when
-  only counts are needed.  Cross-checked in
-  ``tests/core/test_spgemm_device.py``.
+
+``backend="auto"`` (the default) picks the blocked engine for large
+workloads and the vectorized engine otherwise.
+
+Both engines read their :class:`DeviceStats` from one statistics
+function, :func:`repro.core.operands.device_stats_from_operands`, which
+also serves callers that need the counts but not the product (the
+kernel cost models, Figure 6).
 """
 
 from __future__ import annotations
@@ -37,10 +41,7 @@ import numpy as np
 from repro.core.operands import as_gemm_operand
 from repro.core.spgemm_warp import WarpStats, WarpTileConfig, warp_spgemm
 from repro.errors import ConfigError, ShapeError
-from repro.formats.bitmap import BitmapMatrix
-from repro.formats.hierarchical import TwoLevelBitmapMatrix
-from repro.utils.tiling import ceil_div, num_tiles, tile_ranges
-from repro.utils.validation import check_2d
+from repro.utils.tiling import tile_ranges
 
 
 @dataclass
@@ -253,137 +254,3 @@ def device_spgemm(
                 )
                 stats.warp.merge_with(warp_stats)
     return DeviceSpGemmResult(output=output, stats=stats)
-
-
-# --------------------------------------------------------------------- #
-# Exact vectorised instruction counting (for large matrices)
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class InstructionCounts:
-    """Exact instruction counts of a device-level SpGEMM execution.
-
-    Produced by :func:`count_device_instructions` without running the
-    numeric multiplication.  All counts match what :func:`device_spgemm`
-    would report for the same inputs.
-    """
-
-    ohmma_issued: int
-    ohmma_dense: int
-    ohmma_skipped: int
-    bohmma_issued: int
-    popc_issued: int
-    sets_total: int
-    sets_skipped: int
-    warp_tile_pairs_total: int
-    warp_tile_pairs_skipped: int
-    multiply_macs: int
-    merge_accesses: int
-    a_bytes_compressed: int
-    b_bytes_compressed: int
-    a_bytes_dense: int
-    b_bytes_dense: int
-    output_bytes: int
-
-    @property
-    def instruction_speedup(self) -> float:
-        """Dense / sparse ratio of issued OHMMA instructions."""
-        if self.ohmma_issued == 0:
-            return float(self.ohmma_dense) if self.ohmma_dense else 1.0
-        return self.ohmma_dense / self.ohmma_issued
-
-
-def count_device_instructions(
-    a: np.ndarray,
-    b: np.ndarray,
-    config: WarpTileConfig | None = None,
-    element_bytes: int = 2,
-) -> InstructionCounts:
-    """Count instructions of the tiled SpGEMM with vectorised reductions.
-
-    The OHMMA count factorises over the reduction dimension: for a fixed
-    k, the number of OHMMA instructions issued across all output tiles is
-    ``(sum over row tiles of ceil(nnz_A_tilecol / 8)) x (sum over column
-    tiles of ceil(nnz_B_tilerow / 16))``, so the total is a single sum
-    over k of a product of per-k reductions — no loop over output tiles
-    is needed.  The per-segment reductions are shared with the vectorized
-    execution engine (:mod:`repro.core.engine`); this path additionally
-    pads edge k-tiles to full size, matching the hardware's padded
-    execution.
-    """
-    from repro.core.operands import segment_nnz as _segment_nnz
-
-    config = config or WarpTileConfig()
-    a = check_2d(a, "a")
-    b = check_2d(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    m_dim, k_dim = a.shape
-    n_dim = b.shape[1]
-
-    # nnz of each (row tile, k) column segment of A: shape (row_tiles, K),
-    # and of each (k, col tile) row segment of B: shape (K, col_tiles).
-    a_seg_nnz = _segment_nnz(a != 0, config.tm, axis=0)
-    b_seg_nnz = _segment_nnz(b != 0, config.tn, axis=1)
-    n_row_tiles = a_seg_nnz.shape[0]
-    n_col_tiles = b_seg_nnz.shape[1]
-    n_k_tiles = ceil_div(k_dim, config.tk)
-    padded_k = n_k_tiles * config.tk
-
-    # Quantised OHMMA group counts per segment (zero nnz -> zero groups).
-    a_groups = (a_seg_nnz + config.ohmma_m - 1) // config.ohmma_m
-    b_groups = (b_seg_nnz + config.ohmma_n - 1) // config.ohmma_n
-
-    # OHMMA issued = sum_k (sum_i a_groups[i,k]) * (sum_j b_groups[k,j]).
-    ohmma_issued = int(np.sum(a_groups.sum(axis=0) * b_groups.sum(axis=1)))
-
-    # BOHMMA / non-skipped sets: one per (i, k, j) where both segments
-    # hold at least one non-zero.
-    a_nonempty = (a_seg_nnz > 0).sum(axis=0)
-    b_nonempty = (b_seg_nnz > 0).sum(axis=1)
-    active_sets = int(np.sum(a_nonempty * b_nonempty))
-
-    # Warp-tile occupancy for the two-level bitmap skip.
-    a_tile_occupied = _segment_nnz(a_seg_nnz, config.tk, axis=1) > 0
-    b_tile_occupied = _segment_nnz(b_seg_nnz, config.tk, axis=0) > 0
-    pairs_total = n_row_tiles * n_col_tiles * n_k_tiles
-    # For each k tile, every occupied A row tile pairs with every occupied
-    # B column tile; all other pairs are skipped by the warp-bitmap.
-    pairs_active = int(
-        np.sum(a_tile_occupied.sum(axis=0) * b_tile_occupied.sum(axis=1))
-    )
-    pairs_skipped = pairs_total - pairs_active
-
-    sets_total = n_row_tiles * n_col_tiles * padded_k
-    sets_skipped = sets_total - active_sets
-    ohmma_dense = sets_total * config.ohmma_per_set
-
-    # POPC: two per set, only issued for pairs that are not skipped at the
-    # warp-bitmap level (a skipped pair issues nothing at all).
-    popc_issued = 2 * pairs_active * config.tk
-
-    # Useful MACs and merge accesses: every non-zero partial product is
-    # one MAC and one gather+accumulate+scatter.
-    macs = int(np.sum(a_seg_nnz.sum(axis=0) * b_seg_nnz.sum(axis=1)))
-
-    a_nnz = int(np.count_nonzero(a))
-    b_nnz = int(np.count_nonzero(b))
-    a_bitmap_bits = m_dim * k_dim + n_row_tiles * n_k_tiles
-    b_bitmap_bits = k_dim * n_dim + n_k_tiles * n_col_tiles
-    return InstructionCounts(
-        ohmma_issued=ohmma_issued,
-        ohmma_dense=ohmma_dense,
-        ohmma_skipped=ohmma_dense - ohmma_issued,
-        bohmma_issued=active_sets,
-        popc_issued=popc_issued,
-        sets_total=sets_total,
-        sets_skipped=sets_skipped,
-        warp_tile_pairs_total=pairs_total,
-        warp_tile_pairs_skipped=pairs_skipped,
-        multiply_macs=macs,
-        merge_accesses=macs,
-        a_bytes_compressed=a_nnz * element_bytes + (a_bitmap_bits + 7) // 8,
-        b_bytes_compressed=b_nnz * element_bytes + (b_bitmap_bits + 7) // 8,
-        a_bytes_dense=m_dim * k_dim * element_bytes,
-        b_bytes_dense=k_dim * n_dim * element_bytes,
-        output_bytes=m_dim * n_dim * 4,
-    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.spgemm_device import count_device_instructions
+from repro.core.operands import device_stats_from_operands
 from repro.hw.config import GpuConfig, V100_CONFIG
 from repro.sparsity.distributions import uniform_mask
 
@@ -66,15 +66,15 @@ def run_fig6(
         ("imbalanced (Figure 6)", _figure6_banded_mask(size, average_sparsity, rng)),
     ):
         matrix_a = _matrix_from_mask(mask, rng)
-        counts = count_device_instructions(matrix_a, b_dense)
-        issue_cycles = counts.ohmma_issued / config.ohmma_slots_per_cycle
+        warp = device_stats_from_operands(matrix_a, b_dense).warp
+        issue_cycles = warp.ohmma_issued / config.ohmma_slots_per_cycle
         rows.append(
             {
                 "distribution": label,
                 "a_sparsity": 1.0 - np.count_nonzero(matrix_a) / matrix_a.size,
-                "ohmma_issued": counts.ohmma_issued,
-                "ohmma_dense": counts.ohmma_dense,
-                "instruction_speedup": counts.instruction_speedup,
+                "ohmma_issued": warp.ohmma_issued,
+                "ohmma_dense": warp.ohmma_dense,
+                "instruction_speedup": warp.instruction_speedup,
                 "issue_time_us": config.cycles_to_us(issue_cycles),
             }
         )

@@ -1,7 +1,7 @@
 """Cost model of the proposed dual-side bitmap outer-product SpGEMM.
 
-The model turns the exact instruction counts of
-:func:`repro.core.spgemm_device.count_device_instructions` (or their
+The model turns the exact statistics of
+:func:`repro.core.operands.device_stats_from_operands` (or their
 statistical expectation for synthetic sweeps) into a latency:
 
 * **compute stream** — OHMMA and BOHMMA instructions issued at one per
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import binom
 
-from repro.core.spgemm_device import InstructionCounts, count_device_instructions
+from repro.core.operands import device_stats_from_operands
 from repro.core.spgemm_warp import WarpTileConfig
 from repro.hw.config import GpuConfig
 from repro.hw.gpu import GpuTimingModel
@@ -110,34 +110,27 @@ class DualSparseGemm:
     def estimate(self, a: np.ndarray, b: np.ndarray) -> KernelEstimate:
         """Latency estimate from the actual operand matrices.
 
-        Instruction counts are exact (vectorised counting over the real
-        zero patterns), so warp-tile imbalance effects such as Figure 6
-        are captured.
+        Instruction counts and compressed bytes are exact (the closed-form
+        statistics over the real zero patterns, equal to the reference
+        loop's), so warp-tile imbalance effects such as Figure 6 are
+        captured.
         """
-        counts = count_device_instructions(
-            a, b, config=self.warp_config, element_bytes=self.element_bytes
+        stats = device_stats_from_operands(
+            a, b, self.warp_config, element_bytes=self.element_bytes
         )
-        m = np.asarray(a).shape[0]
-        n = np.asarray(b).shape[1]
         return self._estimate_from_counts(
-            m=m,
-            n=n,
-            counts_ohmma=counts.ohmma_issued,
-            counts_bohmma=counts.bohmma_issued,
-            merge_accesses=counts.merge_accesses,
-            a_bytes=counts.a_bytes_compressed,
-            b_bytes=counts.b_bytes_compressed,
+            m=np.shape(a)[0],
+            n=np.shape(b)[1],
+            counts_ohmma=stats.warp.ohmma_issued,
+            counts_bohmma=stats.warp.bohmma_issued,
+            merge_accesses=stats.warp.merge.accumulations,
+            a_bytes=stats.a_bytes_compressed,
+            b_bytes=stats.b_bytes_compressed,
             extra_details={
-                "instruction_speedup": counts.instruction_speedup,
-                "warp_tile_pairs_skipped": counts.warp_tile_pairs_skipped,
-                "warp_tile_pairs_total": counts.warp_tile_pairs_total,
+                "instruction_speedup": stats.instruction_speedup,
+                "warp_tile_pairs_skipped": stats.warp_tile_pairs_skipped,
+                "warp_tile_pairs_total": stats.warp_tile_pairs_total,
             },
-        )
-
-    def estimate_counts(self, a: np.ndarray, b: np.ndarray) -> InstructionCounts:
-        """Expose the exact instruction counts (used by tests / reports)."""
-        return count_device_instructions(
-            a, b, config=self.warp_config, element_bytes=self.element_bytes
         )
 
     # ------------------------------------------------------------------ #

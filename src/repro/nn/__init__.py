@@ -1,14 +1,16 @@
-"""DNN substrate: the models, layers and inference driver of Table II.
+"""DNN substrate: the models, sessions and inference driver of Table II.
 
 The evaluation needs five sparse DNN models (VGG-16, ResNet-18,
 Mask R-CNN, a BERT-base encoder and a 2+4-layer LSTM RNN).  Rather than
 loading framework checkpoints — unavailable offline — the subpackage
 records each model's layer shapes and the per-layer weight / activation
-sparsity the paper's pruning setup produces, and provides functional
-layer implementations for the small-scale numeric examples.
+sparsity the paper's pruning setup produces.  Whole models run through
+the functional pipeline once (:func:`run_model_functional`) or as
+encode-once compiled sessions (:func:`compile_model`); a single layer
+needs no wrapper — :class:`~repro.core.spconv.CompiledConvWeights` and
+:class:`~repro.core.operands.EncodedOperand` encode its weights once.
 """
 
-from repro.nn.layers import Conv2dLayer, LinearLayer, LstmLayer
 from repro.nn.activations import relu, measure_activation_sparsity
 from repro.nn.functional import (
     FunctionalLayerRun,
@@ -26,7 +28,6 @@ from repro.nn.session import (
 from repro.nn.synthetic import clear_operand_memo
 
 __all__ = [
-    "Conv2dLayer",
     "CompiledLayer",
     "CompiledModel",
     "SessionRun",
@@ -35,8 +36,6 @@ __all__ = [
     "FunctionalLayerRun",
     "FunctionalModelRun",
     "run_model_functional",
-    "LinearLayer",
-    "LstmLayer",
     "relu",
     "measure_activation_sparsity",
     "ModelEvaluator",

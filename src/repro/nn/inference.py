@@ -11,8 +11,10 @@ movement pruning (BERT) and magnitude pruning of recurrent layers (RNN)
 leave whole blocks / bands of the weight matrix empty, and that
 clustering is exactly what the two-level bitmap converts into whole-warp
 skips (Section VI-D).  The uniform-sparsity expectation would understate
-the effect, so the evaluator generates the pattern and uses the exact
-instruction counter instead.
+the effect, so the evaluator generates the pattern and costs it from the
+exact statistics of :func:`repro.core.operands.device_stats_from_operands`
+instead: instruction counts and compressed bytes, in which an empty warp
+tile stores no element bitmap.
 """
 
 from __future__ import annotations

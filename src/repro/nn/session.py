@@ -279,10 +279,7 @@ class CompiledModel:
         if resolved == "vectorized":
             stats = [
                 device_stats_from_operands(
-                    EncodedOperand(low, "a", persistent=False),
-                    w_op,
-                    self.tile_config,
-                    self.element_bytes,
+                    low, w_op, self.tile_config, self.element_bytes
                 )
                 for low in lowered
             ]
@@ -352,10 +349,7 @@ class CompiledModel:
         if resolved == "vectorized":
             stats = [
                 device_stats_from_operands(
-                    w_op,
-                    EncodedOperand(act.T, "b", persistent=False),
-                    self.tile_config,
-                    self.element_bytes,
+                    w_op, act.T, self.tile_config, self.element_bytes
                 )
                 for act in activations
             ]

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.api import spgemm, spgemm_batched
-from repro.core.engine import (
-    vectorized_device_spgemm,
-    vectorized_device_stats,
-    vectorized_numeric_product,
-)
+from repro.core.engine import vectorized_device_spgemm, vectorized_numeric_product
+from repro.core.operands import device_stats_from_operands
 from repro.core.spconv import sparse_conv2d
 from repro.core.spgemm_device import device_spgemm
 from repro.core.spgemm_warp import WarpTileConfig
@@ -98,12 +95,8 @@ class TestEngineUnits:
     def test_stats_match_reference_fields(self, rng):
         a = random_sparse_matrix((64, 48), 0.25, rng)
         b = random_sparse_matrix((48, 64), 0.25, rng)
-        stats = vectorized_device_stats(a, b, WarpTileConfig())
-        reference = device_spgemm(a, b, backend="reference").stats
-        assert stats.warp.popc_issued == reference.warp.popc_issued
-        assert stats.a_bytes_compressed == reference.a_bytes_compressed
-        assert stats.b_bytes_compressed == reference.b_bytes_compressed
-        assert stats.warp.merge.gathers == reference.warp.merge.gathers
+        stats = device_stats_from_operands(a, b, WarpTileConfig())
+        assert stats == device_spgemm(a, b, backend="reference").stats
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):

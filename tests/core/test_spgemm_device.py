@@ -1,11 +1,12 @@
-"""Tests for the device-level SpGEMM and the vectorised instruction counter."""
+"""Tests for the device-level SpGEMM and the closed-form statistics function."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.spgemm_device import count_device_instructions, device_spgemm
+from repro.core.operands import device_stats_from_operands
+from repro.core.spgemm_device import device_spgemm
 from repro.core.spgemm_warp import WarpTileConfig
 from repro.errors import ShapeError
 from repro.sparsity.generators import random_sparse_matrix
@@ -75,44 +76,52 @@ class TestDeviceSpgemmStats:
         assert sparse_speedups == sorted(sparse_speedups)
 
 
-class TestInstructionCounterMatchesFunctionalModel:
-    """The vectorised counter must agree exactly with the functional path."""
+def reference_stats(a, b, config=None):
+    return device_spgemm(a, b, config=config, backend="reference").stats
 
-    @pytest.mark.parametrize("density_a,density_b", [(0.1, 0.1), (0.3, 0.6), (1.0, 1.0)])
-    def test_counts_match(self, rng, density_a, density_b):
-        a = random_sparse_matrix((64, 32), density_a, rng)
-        b = random_sparse_matrix((32, 64), density_b, rng)
-        functional = device_spgemm(a, b).stats
-        counted = count_device_instructions(a, b)
-        assert counted.ohmma_issued == functional.warp.ohmma_issued
-        assert counted.ohmma_dense == functional.warp.ohmma_dense
-        assert counted.bohmma_issued == functional.warp.bohmma_issued
-        assert counted.sets_skipped == functional.warp.sets_skipped
-        assert counted.multiply_macs == functional.warp.multiply_macs
-        assert counted.warp_tile_pairs_total == functional.warp_tile_pairs_total
-        assert counted.warp_tile_pairs_skipped == functional.warp_tile_pairs_skipped
+
+class TestInstructionCounterMatchesFunctionalModel:
+    """The statistics function must equal the reference loop's DeviceStats,
+    every field, on any shape."""
+
+    @pytest.mark.parametrize(
+        "shape_a,n_dim,density_a,density_b,empty_a_tile",
+        [
+            pytest.param((64, 32), 64, 0.1, 0.1, False, id="0.1-0.1"),
+            pytest.param((64, 32), 64, 0.3, 0.6, False, id="0.3-0.6"),
+            pytest.param((64, 32), 64, 1.0, 1.0, False, id="1.0-1.0"),
+            # Clipped edge tiles on every axis, and one empty 32x16 warp
+            # tile of A, which stores no element bitmap.
+            pytest.param((70, 45), 50, 0.3, 0.3, True, id="70x45-empty-tile"),
+        ],
+    )
+    def test_counts_match(
+        self, rng, shape_a, n_dim, density_a, density_b, empty_a_tile
+    ):
+        a = random_sparse_matrix(shape_a, density_a, rng)
+        if empty_a_tile:
+            a[:32, :16] = 0.0
+        b = random_sparse_matrix((shape_a[1], n_dim), density_b, rng)
+        assert device_stats_from_operands(a, b) == reference_stats(a, b)
 
     def test_counts_match_with_blocked_pattern(self, rng):
         a = random_sparse_matrix((128, 64), 0.3, rng, pattern="blocked")
         b = random_sparse_matrix((64, 128), 0.5, rng, pattern="blocked")
-        functional = device_spgemm(a, b).stats
-        counted = count_device_instructions(a, b)
-        assert counted.ohmma_issued == functional.warp.ohmma_issued
-        assert counted.warp_tile_pairs_skipped == functional.warp_tile_pairs_skipped
+        counted = device_stats_from_operands(a, b)
+        assert counted.warp_tile_pairs_skipped > 0
+        assert counted == reference_stats(a, b)
 
     def test_counts_match_custom_config(self, rng):
         config = WarpTileConfig(tm=16, tn=16, tk=8)
         a = random_sparse_matrix((32, 16), 0.4, rng)
         b = random_sparse_matrix((16, 32), 0.4, rng)
-        functional = device_spgemm(a, b, config=config).stats
-        counted = count_device_instructions(a, b, config=config)
-        assert counted.ohmma_issued == functional.warp.ohmma_issued
-        assert counted.ohmma_dense == functional.warp.ohmma_dense
+        counted = device_stats_from_operands(a, b, config)
+        assert counted == reference_stats(a, b, config)
 
     def test_dense_counts_formula(self):
         a = np.ones((64, 32))
         b = np.ones((32, 64))
-        counted = count_device_instructions(a, b)
+        counted = device_stats_from_operands(a, b).warp
         # 2x2 output tiles x 32 k-steps x 8 OHMMA per set, nothing skipped.
         assert counted.ohmma_dense == 2 * 2 * 32 * 8
         assert counted.ohmma_issued == counted.ohmma_dense
@@ -121,16 +130,16 @@ class TestInstructionCounterMatchesFunctionalModel:
     def test_macs_equal_expected_products(self, make_sparse):
         a = make_sparse((64, 32), 0.25)
         b = make_sparse((32, 64), 0.25)
-        counted = count_device_instructions(a, b)
+        counted = device_stats_from_operands(a, b)
         expected = sum(
             int(np.count_nonzero(a[:, k])) * int(np.count_nonzero(b[k, :]))
             for k in range(32)
         )
-        assert counted.multiply_macs == expected
+        assert counted.warp.multiply_macs == expected
 
     def test_counter_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            count_device_instructions(np.zeros((8, 8)), np.zeros((4, 8)))
+            device_stats_from_operands(np.zeros((8, 8)), np.zeros((4, 8)))
 
     @given(st.integers(0, 2000))
     @settings(max_examples=10, deadline=None)
@@ -138,7 +147,4 @@ class TestInstructionCounterMatchesFunctionalModel:
         rng = np.random.default_rng(seed)
         a = random_sparse_matrix((64, 32), float(rng.uniform(0.05, 0.9)), rng)
         b = random_sparse_matrix((32, 64), float(rng.uniform(0.05, 0.9)), rng)
-        functional = device_spgemm(a, b).stats
-        counted = count_device_instructions(a, b)
-        assert counted.ohmma_issued == functional.warp.ohmma_issued
-        assert counted.multiply_macs == functional.warp.multiply_macs
+        assert device_stats_from_operands(a, b) == reference_stats(a, b)

@@ -5,7 +5,7 @@ import pytest
 
 from repro import SparseMatrix, spconv, spgemm
 from repro.core.reference import reference_conv2d, reference_gemm
-from repro.core.spgemm_device import count_device_instructions
+from repro.core.operands import device_stats_from_operands
 from repro.hw.warp import WarpExecutor
 from repro.isa.wmma import expand_spwmma
 from repro.kernels.gemm_dual_sparse import DualSparseGemm
@@ -32,7 +32,7 @@ class TestPrunedGemmPipeline:
         estimate = DualSparseGemm().estimate(activations, weights)
         assert estimate.time_us > 0
         assert estimate.details["instruction_speedup"] == pytest.approx(
-            count_device_instructions(activations, weights).instruction_speedup
+            device_stats_from_operands(activations, weights).instruction_speedup
         )
 
     def test_movement_pruned_transformer_projection(self, rng):
@@ -41,9 +41,9 @@ class TestPrunedGemmPipeline:
         )
         activations = rng.uniform(0.5, 1.5, size=(64, 256))
         # Weight matrix on the fine-granularity side (transposed product).
-        counts = count_device_instructions(weights.T.copy(), activations.T.copy())
-        assert counts.warp_tile_pairs_skipped > 0
-        assert counts.instruction_speedup > 3.0
+        stats = device_stats_from_operands(weights.T.copy(), activations.T.copy())
+        assert stats.warp_tile_pairs_skipped > 0
+        assert stats.instruction_speedup > 3.0
         result = spgemm(activations, weights)
         assert np.allclose(result.dense, activations @ weights)
 

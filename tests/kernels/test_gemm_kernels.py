@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.spgemm_device import device_spgemm
 from repro.errors import ConfigError
 from repro.kernels.gemm_cusparse import CusparseGemm
 from repro.kernels.gemm_dense import CutlassGemm
@@ -99,6 +100,23 @@ class TestDualSparseGemm:
         exact = kernel.estimate(a, b)
         statistical = kernel.estimate_from_sparsity(1024, 1024, 1024, 0.7, 0.9)
         assert exact.time_us == pytest.approx(statistical.time_us, rel=0.1)
+
+    def test_exact_path_matches_reference_stats(self, rng):
+        """Not tile-aligned, with one empty 32x16 warp tile of A: the cost
+        model must read the reference loop's counts and bytes."""
+        a = random_sparse_matrix((70, 45), 0.3, rng)
+        a[:32, :16] = 0.0
+        b = random_sparse_matrix((45, 50), 0.3, rng)
+        kernel = DualSparseGemm()
+        details = kernel.estimate(a, b).details
+        stats = device_spgemm(a, b, backend="reference").stats
+        assert details["ohmma_issued"] == stats.warp.ohmma_issued
+        assert details["instruction_speedup"] == stats.instruction_speedup
+        output_bytes = 70 * 50 * kernel.element_bytes
+        assert (
+            details["traffic_bytes"] - output_bytes
+            == stats.a_bytes_compressed + stats.b_bytes_compressed
+        )
 
     def test_slower_than_cutlass_when_dense(self, cutlass_baseline):
         estimate = DualSparseGemm().estimate_from_sparsity(SIZE, SIZE, SIZE, 0.0, 0.0)

@@ -1,16 +1,13 @@
-"""Tests for the DNN substrate: layers, model database and inference driver."""
+"""Tests for the DNN substrate: activations, model database and inference driver."""
 
 import numpy as np
 import pytest
 
-from repro.core.reference import reference_conv2d
-from repro.errors import ConfigError, ShapeError
+from repro.errors import ConfigError
 from repro.kernels.conv_methods import ConvMethod, GemmMethod
 from repro.nn.activations import measure_activation_sparsity, relu
 from repro.nn.inference import ModelEvaluator
-from repro.nn.layers import Conv2dLayer, LinearLayer, LstmLayer
 from repro.nn.models import MODEL_REGISTRY, get_model
-from repro.sparsity.generators import random_sparse_matrix
 
 
 class TestActivations:
@@ -20,55 +17,6 @@ class TestActivations:
     def test_measure_sparsity(self):
         assert measure_activation_sparsity(np.array([0.0, 1.0, 0.0, 2.0])) == 0.5
         assert measure_activation_sparsity(np.array([])) == 0.0
-
-
-class TestLayers:
-    def test_conv_layer_forward_matches_reference(self, rng):
-        weights = random_sparse_matrix((4, 3 * 9), 0.4, rng).reshape(4, 3, 3, 3)
-        layer = Conv2dLayer("conv", weights, stride=1, padding=1, apply_relu=False)
-        fm = random_sparse_matrix((3 * 8, 8), 0.5, rng).reshape(3, 8, 8)
-        assert np.allclose(layer.forward(fm), reference_conv2d(fm, weights, 1, 1))
-
-    def test_conv_layer_relu_applied(self, rng):
-        weights = rng.standard_normal((2, 2, 3, 3))
-        layer = Conv2dLayer("conv", weights, padding=1)
-        fm = rng.standard_normal((2, 6, 6))
-        assert np.all(layer.forward(fm) >= 0)
-
-    def test_conv_layer_to_spec(self, rng):
-        weights = random_sparse_matrix((8, 4 * 9), 0.25, rng).reshape(8, 4, 3, 3)
-        layer = Conv2dLayer("conv", weights, stride=2, padding=1)
-        spec = layer.to_spec(height=16, width=16, activation_sparsity=0.5)
-        assert spec.in_channels == 4 and spec.out_channels == 8
-        assert spec.stride == 2
-        assert spec.weight_sparsity == pytest.approx(0.75, abs=0.05)
-
-    def test_conv_layer_rejects_bad_weights(self):
-        with pytest.raises(ShapeError):
-            Conv2dLayer("conv", np.zeros((4, 3, 3)))
-
-    def test_linear_layer_forward(self, rng):
-        weights = random_sparse_matrix((12, 6), 0.5, rng)
-        layer = LinearLayer("fc", weights, apply_relu=False)
-        activations = random_sparse_matrix((8, 12), 0.5, rng)
-        assert np.allclose(layer.forward(activations), activations @ weights)
-
-    def test_linear_layer_shape_check(self, rng):
-        layer = LinearLayer("fc", np.zeros((12, 6)))
-        with pytest.raises(ShapeError):
-            layer.forward(np.zeros((8, 10)))
-
-    def test_linear_layer_to_spec(self):
-        layer = LinearLayer("fc", np.eye(16))
-        spec = layer.to_spec(batch_rows=32, activation_sparsity=0.2)
-        assert (spec.m, spec.k, spec.n) == (32, 16, 16)
-        assert spec.weight_sparsity == pytest.approx(1.0 - 1.0 / 16)
-
-    def test_lstm_gate_gemm_spec(self):
-        layer = LstmLayer("lstm", input_size=256, hidden_size=512, weight_sparsity=0.9)
-        spec = layer.gate_gemm_spec(batch=4, seq_len=10, activation_sparsity=0.0)
-        assert (spec.m, spec.k, spec.n) == (40, 768, 2048)
-        assert spec.weight_sparsity == 0.9
 
 
 class TestModelDatabase:
