@@ -21,7 +21,23 @@ precisely the amortisation the paper's bitmap encoding is designed for
   per-image operands are stacked along the fused GEMM's batch axis (the
   lowered-row M dimension for conv layers, the transposed-activation N
   dimension for GEMM layers) and pushed through the engine in one pass,
-  then split back into per-image outputs.
+  then split back into per-image outputs.  Conv layers lower each image
+  straight into the float64 operand the engines multiply.
+
+Parallel batches
+----------------
+
+Outside BLAS every per-image phase of a batch is single-threaded NumPy
+(synthesis, lowering, the operand summary, the tile gathers), so on a
+multi-core host one batch left cores idle.  :meth:`CompiledModel.run`
+therefore splits a batch into contiguous chunks, at most one per
+OpenBLAS thread the process currently runs, and runs the layer loop on
+each: the caller's thread takes the first chunk, a module-level thread
+pool the rest.  While chunks run, :func:`repro.utils.blas.blas_scope`
+caps OpenBLAS at ``cores // chunks`` threads, so the chunks share the
+cores instead of oversubscribing them.  A process whose OpenBLAS runs
+one thread, such as a server or a sweep executor with as many workers
+as cores, keeps the sequential path, with no pool and no scope.
 
 Bit-identity contract
 ---------------------
@@ -50,10 +66,18 @@ make this hold (asserted in ``tests/nn/test_session.py``):
 Per-image statistics are composed from the cached weight-side summary
 and the image's own operand summary; the fused run's statistics are, by
 definition, their sum (:meth:`SessionRun.layer_stats`).
+
+Chunking keeps all of this: an image's vectorized rows do not depend on
+the other rows of its chunk, its blocked products are its own, and BLAS
+output does not depend on the thread count
+(:mod:`repro.core.engine_blocked`).
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +107,57 @@ from repro.nn.synthetic import (
     scaled_gemm_rows,
 )
 from repro.sparsity.statistics import sparsity as sparsity_of
+from repro.utils.blas import blas_scope, current_blas_threads
+
+#: Runs every chunk of a batch but the first; created by the first
+#: parallel batch (see :func:`_chunk_pool`).
+_pool: "ThreadPoolExecutor | None" = None
+_pool_lock = threading.Lock()
+
+
+def _chunk_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(thread_name_prefix="repro-batch")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads;
+    # work submitted to it would never run.
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def lowered_operand(
+    feature_map: np.ndarray, spec: ConvLayerSpec, out_h: int, out_w: int
+) -> EncodedOperand:
+    """One image's lowered conv operand, built straight in float64.
+
+    Padding a float64 copy of the map, which is K² times smaller than
+    the lowered matrix, makes the window gather yield the operand BLAS
+    multiplies: the same bytes the oracle's float32 lowering gives after
+    its ``astype``, without either copy.
+
+    Every lowered element is a map element or padding, so a finite map
+    proves the operand finite and the lowered matrix is never scanned.
+    A non-finite map proves nothing, because stride and cropping can
+    leave a map element outside every window; the operand then scans
+    itself on first use, as any other operand does.
+    """
+    padded = pad_feature_map(feature_map.astype(np.float64), spec.padding)
+    operand = EncodedOperand(
+        lower_windows(padded, spec.kernel, spec.stride, out_h, out_w),
+        "a",
+        persistent=False,
+    )
+    if np.isfinite(feature_map).all():
+        operand._finite = True
+    return operand
 
 
 @dataclass(frozen=True)
@@ -208,6 +283,10 @@ class CompiledModel:
     def run(self, batch) -> SessionRun:
         """Serve one batch of images through every layer.
 
+        The batch runs as parallel chunks when OpenBLAS has more than
+        one thread (see "Parallel batches" in the module docstring); an
+        exception from any chunk propagates once every chunk is done.
+
         Args:
             batch: either an image count (serves images ``0..batch-1``)
                 or an explicit sequence of image ids.
@@ -223,19 +302,27 @@ class CompiledModel:
             images = tuple(int(i) for i in batch)
             if not images:
                 raise ConfigError("batch must contain at least one image")
-        per_layer: list[list[FunctionalLayerRun]] = []
-        for layer in self.layers:
-            if layer.kind == "conv":
-                per_layer.append(self._run_conv_layer(layer, images))
-            else:
-                per_layer.append(self._run_gemm_layer(layer, images))
-        per_image = tuple(
-            FunctionalModelRun(
-                model=self.name,
-                layers=tuple(runs[index] for runs in per_layer),
-            )
-            for index in range(len(images))
-        )
+        count = min(len(images), current_blas_threads())
+        if count == 1:
+            per_image = self._run_images(images)
+        else:
+            # Contiguous chunks, the longer ones first.
+            chunks = [
+                tuple(int(i) for i in chunk)
+                for chunk in np.array_split(images, count)
+            ]
+            with blas_scope(count):
+                pending = [
+                    _chunk_pool().submit(self._run_images, chunk)
+                    for chunk in chunks[1:]
+                ]
+                try:
+                    per_image = self._run_images(chunks[0])
+                finally:
+                    # No chunk may outlive the scope's BLAS cap.
+                    wait(pending)
+                for future in pending:
+                    per_image += future.result()
         return SessionRun(model=self.name, images=images, per_image=per_image)
 
     def run_image(self, image: int = 0) -> FunctionalModelRun:
@@ -245,6 +332,24 @@ class CompiledModel:
     # ------------------------------------------------------------------ #
     # Layer execution
     # ------------------------------------------------------------------ #
+    def _run_images(
+        self, images: tuple[int, ...]
+    ) -> tuple[FunctionalModelRun, ...]:
+        """Every layer over one chunk of the batch, one run per image."""
+        per_layer: list[list[FunctionalLayerRun]] = []
+        for layer in self.layers:
+            if layer.kind == "conv":
+                per_layer.append(self._run_conv_layer(layer, images))
+            else:
+                per_layer.append(self._run_gemm_layer(layer, images))
+        return tuple(
+            FunctionalModelRun(
+                model=self.name,
+                layers=tuple(runs[index] for runs in per_layer),
+            )
+            for index in range(len(images))
+        )
+
     def _run_conv_layer(
         self, layer: CompiledLayer, images: tuple[int, ...]
     ) -> list[FunctionalLayerRun]:
@@ -258,36 +363,37 @@ class CompiledModel:
             )
             for i in images
         ]
+        m_img = layer.out_h * layer.out_w
+        k_dim = w_op.shape[0]
+        n_dim = spec.out_channels
+        resolved = resolve_backend(self.backend, m_img, k_dim, n_dim)
+
         # The strided-window gather produces the lowered matrix
         # bit-identically to the bitmap im2col simulation (the engines
         # assert so), without re-simulating the register-level path per
         # served request.
-        lowered = [
-            lower_windows(
-                pad_feature_map(fm, spec.padding),
-                spec.kernel,
-                spec.stride,
-                layer.out_h,
-                layer.out_w,
-            )
-            for fm in feature_maps
-        ]
-        m_img, k_dim = lowered[0].shape
-        n_dim = spec.out_channels
-        resolved = resolve_backend(self.backend, m_img, k_dim, n_dim)
-
         if resolved == "vectorized":
+            lowered = [
+                lowered_operand(fm, spec, layer.out_h, layer.out_w)
+                for fm in feature_maps
+            ]
             stats = [
                 device_stats_from_operands(
                     low, w_op, self.tile_config, self.element_bytes
                 )
                 for low in lowered
             ]
-            fused = lowered[0] if len(lowered) == 1 else np.concatenate(lowered)
+            fused = (
+                lowered[0].dense
+                if len(lowered) == 1
+                else np.concatenate([low.dense for low in lowered])
+            )
             out = vectorized_numeric_product(
                 fused,
                 w_op.dense,
+                a_col_nnz=sum(low.k_nnz for low in lowered),
                 b_row_nnz=w_op.k_nnz,
+                a_finite=all(low.all_finite for low in lowered),
                 b_finite=w_op.all_finite,
             )
             outputs = [
@@ -295,15 +401,17 @@ class CompiledModel:
                 for index in range(len(images))
             ]
         else:
+            # One image at a time: its float64 lowered matrix is the
+            # largest array of the layer, and only one is alive.
             results = [
                 device_spgemm(
-                    low,
+                    lowered_operand(fm, spec, layer.out_h, layer.out_w),
                     w_op,
                     config=self.tile_config,
                     element_bytes=self.element_bytes,
                     backend=resolved,
                 )
-                for low in lowered
+                for fm in feature_maps
             ]
             stats = [result.stats for result in results]
             outputs = [result.output for result in results]

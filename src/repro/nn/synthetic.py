@@ -21,10 +21,13 @@ them.  Two properties matter for the serving runtime:
   hashed over the full layer spec, never just its name), returning
   read-only arrays so cached operands cannot be mutated in place.
   ``run_model_functional`` itself stays stateless (``memo=False``).
+  Threads share the memo — a server's workers, a batch's chunks — so
+  one lock covers every lookup, insert and eviction (not generation).
 """
 
 from __future__ import annotations
 
+import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import asdict
@@ -46,13 +49,15 @@ MEMO_MAX_BYTES = 256 * 1024 * 1024
 
 _MEMO: "OrderedDict[str, np.ndarray]" = OrderedDict()
 _memo_bytes = 0
+_memo_lock = threading.Lock()
 
 
 def clear_operand_memo() -> None:
     """Drop every memoized operand (used by tests and long-lived sweeps)."""
     global _memo_bytes
-    _MEMO.clear()
-    _memo_bytes = 0
+    with _memo_lock:
+        _MEMO.clear()
+        _memo_bytes = 0
 
 
 def operand_memo_size() -> int:
@@ -72,27 +77,41 @@ def _memo_key(kind: str, params: dict) -> str:
     return ResultCache.key(f"synthetic-{kind}", params)
 
 
+def _lookup(key: str) -> "np.ndarray | None":
+    """The memoized operand under ``key``, marked recently used; lock held."""
+    cached = _MEMO.get(key)
+    if cached is not None:
+        _MEMO.move_to_end(key)
+    return cached
+
+
 def _memoized(kind: str, params: dict, generate) -> np.ndarray:
     global _memo_bytes
     key = _memo_key(kind, params)
-    cached = _MEMO.get(key)
-    if cached is None:
-        cached = generate()
-        if cached.nbytes > MEMO_MAX_BYTES:
-            # An operand that alone exceeds the byte budget would drain
-            # the whole cache only to thrash on every request.
+    with _memo_lock:
+        cached = _lookup(key)
+    if cached is not None:
+        return cached
+    generated = generate()
+    if generated.nbytes > MEMO_MAX_BYTES:
+        # An operand that alone exceeds the byte budget would drain
+        # the whole cache only to thrash on every request.
+        return generated
+    generated.flags.writeable = False
+    with _memo_lock:
+        # Another thread may have generated the same key meanwhile: keep
+        # its copy, so each key is held and counted once.
+        cached = _lookup(key)
+        if cached is not None:
             return cached
-        cached.flags.writeable = False
         while _MEMO and (
             len(_MEMO) >= MEMO_CAPACITY
-            or _memo_bytes + cached.nbytes > MEMO_MAX_BYTES
+            or _memo_bytes + generated.nbytes > MEMO_MAX_BYTES
         ):
             _memo_bytes -= _MEMO.popitem(last=False)[1].nbytes
-        _MEMO[key] = cached
-        _memo_bytes += cached.nbytes
-    else:
-        _MEMO.move_to_end(key)
-    return cached
+        _MEMO[key] = generated
+        _memo_bytes += generated.nbytes
+    return generated
 
 
 def layer_stream(

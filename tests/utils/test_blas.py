@@ -1,5 +1,9 @@
 """Tests for repro.utils.blas: the process-wide OpenBLAS thread cap."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.utils import blas
@@ -30,6 +34,7 @@ def fake_libraries(monkeypatch):
         libraries = [FakeLibrary(name, count) for name, count in threads.items()]
         monkeypatch.setattr(blas, "_core_count", lambda: cores)
         monkeypatch.setattr(blas, "_openblas_libraries", lambda: libraries)
+        monkeypatch.setattr(blas, "_resolved", libraries)
         return libraries
 
     return install
@@ -99,3 +104,76 @@ def test_no_openblas_mapped_is_a_noop(monkeypatch, tmp_path):
 def test_unreadable_maps_is_a_noop(monkeypatch, tmp_path):
     monkeypatch.setattr(blas, "MAPS_PATH", str(tmp_path / "missing"))
     assert blas.cap_blas_threads(2) == {}
+
+
+def test_current_threads_resolves_the_libraries_once(monkeypatch):
+    libraries = [FakeLibrary("liba", 4), FakeLibrary("libb", 2)]
+    resolutions = []
+
+    def resolve():
+        resolutions.append(1)
+        return libraries
+
+    monkeypatch.setattr(blas, "_resolved", None)
+    monkeypatch.setattr(blas, "_openblas_libraries", resolve)
+    assert blas.current_blas_threads() == 2
+    libraries[1].threads = 3
+    assert blas.current_blas_threads() == 3
+    assert len(resolutions) == 1
+
+
+def test_current_threads_is_one_without_openblas(monkeypatch):
+    monkeypatch.setattr(blas, "_resolved", [])
+    assert blas.current_blas_threads() == 1
+
+
+def test_nested_scopes_cap_and_the_last_exit_restores(fake_libraries):
+    (lib,) = fake_libraries(cores=4, libfake=4)
+    with blas.blas_scope(2):
+        assert lib.threads == 2
+        with blas.blas_scope(4):
+            assert lib.threads == 1
+        assert lib.threads == 1  # the outer scope still runs
+    assert lib.threads == 4
+
+
+def test_scope_never_raises_a_count(fake_libraries):
+    (lib,) = fake_libraries(cores=4, libfake=1)
+    with blas.blas_scope(2):
+        assert lib.threads == 1
+    assert lib.threads == 1
+    assert set(lib.sets) <= {1}
+
+
+def test_scope_restores_when_its_body_raises(fake_libraries):
+    (lib,) = fake_libraries(cores=2, libfake=2)
+    with pytest.raises(RuntimeError):
+        with blas.blas_scope(2):
+            raise RuntimeError("chunk failed")
+    assert lib.threads == 2
+
+
+def test_overlapping_scopes_from_many_threads_restore_once(fake_libraries):
+    (lib,) = fake_libraries(cores=2, libfake=2)
+    seen = []
+
+    def enter_and_leave():
+        for _ in range(200):
+            with blas.blas_scope(2):
+                time.sleep(0)  # let another thread enter or leave
+                seen.append(lib.threads)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=enter_and_leave) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    # A scope restored under another would let that one run uncapped.
+    assert set(seen) == {1}
+    assert lib.threads == 2
