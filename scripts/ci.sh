@@ -10,8 +10,9 @@
 # + restart, SIGTERM drain — the exactly-one-terminal, digest-identity
 # and drain invariants must hold), a kill-and-resume smoke that SIGKILLs
 # a live sweep and demands a byte-identical report after --resume, and
-# a parallel + cached runner smoke pass that must print byte-identical
-# tables on the cached re-run.
+# a parallel + cached runner smoke pass whose cold run must journal no
+# failed attempt and whose cached re-run must print byte-identical
+# tables.
 # Run from anywhere; no arguments.
 set -euo pipefail
 
@@ -57,11 +58,17 @@ REPRO_CACHE_DIR="$crash_dir/killed" python -m repro.experiments.runner \
     --quick --resume "${CRASH_EXPERIMENTS[@]}" > "$crash_dir/resumed.txt"
 cmp "$crash_dir/straight.txt" "$crash_dir/resumed.txt"
 
-echo "== runner smoke: --quick --jobs 2 --cache, cached re-run byte-identical =="
+echo "== runner smoke: --quick --jobs 2 --cache, no failed attempt, cached re-run byte-identical =="
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$crash_dir"' EXIT
 REPRO_CACHE_DIR="$smoke_dir/cache" python -m repro.experiments.runner \
     --quick --jobs 2 --cache > "$smoke_dir/first.txt"
+# A retry can absorb a crashed worker and still exit 0, so read the cold
+# run's journal (the cached re-run rewrites it): no attempt may fail.
+if grep -hs task_failed "$smoke_dir"/cache/runs/*.jsonl >&2; then
+    echo "the cold run journaled a failed attempt (above)" >&2
+    exit 1
+fi
 REPRO_CACHE_DIR="$smoke_dir/cache" python -m repro.experiments.runner \
     --quick --jobs 2 --cache > "$smoke_dir/second.txt"
 cmp "$smoke_dir/first.txt" "$smoke_dir/second.txt"

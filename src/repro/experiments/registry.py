@@ -2,12 +2,17 @@
 
 The runner and the sweep runtime (:mod:`repro.runtime`) need to
 enumerate experiments, build their keyword arguments and compute cache
-keys *without* importing NumPy, the model zoo or the kernel cost models
-— a fully cached invocation must stay an order of magnitude faster than
-the computation it replaces, and most of that budget is import time.
-Each :class:`ExperimentSpec` therefore records the driver as a dotted
-``module``/``func`` pair that is only resolved (imported) when the
-experiment actually executes.
+keys without importing the drivers.  NumPy does come in, through the
+package inits of :mod:`repro.utils` (for :mod:`repro.utils.blas`) and
+:mod:`repro.hw` (for the GPU presets); what stays out is SciPy, the
+kernel cost models and the model zoo (1.2–1.5 s of imports on a 2-vCPU
+host).  A dry run or a fully cached invocation must stay an order of
+magnitude faster than the computation it replaces, and most of that
+budget is import time.  Each :class:`ExperimentSpec` therefore records
+the driver as a dotted ``module``/``func`` pair that is only resolved
+(imported) when the experiment actually executes: in the executor's
+parent just before it forks the workers (:mod:`repro.runtime.executor`),
+or in the process that runs the task.
 
 Adding an experiment means adding one ``ExperimentSpec`` here; the
 runner CLI, the sweep grids, the result cache and the golden-snapshot

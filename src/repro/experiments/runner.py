@@ -141,11 +141,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _eta_text(durations: "list[float]", pending_left: int) -> str:
-    """Remaining-work estimate from the mean executed-task duration."""
+def _eta_text(durations: "list[float]", pending_left: int, jobs: int) -> str:
+    """Remaining wall-time estimate from the mean executed-task duration.
+
+    ``jobs`` workers run the remaining tasks side by side, but never more
+    of them than there are tasks left.
+    """
     if not durations or pending_left <= 0:
         return ""
-    eta = sum(durations) / len(durations) * pending_left
+    mean = sum(durations) / len(durations)
+    eta = mean * pending_left / min(jobs, pending_left)
     return f", eta {eta:.0f}s"
 
 
@@ -250,7 +255,7 @@ def main(argv: "list[str] | None" = None) -> int:
         pending_left = total - done
         print(
             f"[runner] {done}/{total} {where} {outcome}"
-            f"{_eta_text(durations, pending_left)}",
+            f"{_eta_text(durations, pending_left, args.jobs)}",
             file=sys.stderr,
         )
 

@@ -71,7 +71,7 @@ def run_spconv(
     seed: int = 2021,
     sparsities: Sequence[float] = SPARSITY_POINTS,
     weight_sparsity: float = DEFAULT_WEIGHT_SPARSITY,
-    backend: str = "vectorized",
+    backend: str = "auto",
     config: GpuConfig | None = None,
 ) -> list[dict]:
     """Execute the full-resolution dual-side convolutions and tabulate.
@@ -81,9 +81,14 @@ def run_spconv(
         sparsities: feature-map sparsity grid (zero fraction of the
             activations).
         weight_sparsity: zero fraction of the pruned weights.
-        backend: pipeline backend — ``"vectorized"`` (default) or
-            ``"reference"`` (the oracle loops; orders of magnitude
-            slower at this size).
+        backend: pipeline backend, forwarded to
+            :func:`~repro.core.spconv.sparse_conv2d`.  ``"auto"`` (the
+            default, as in ``sparse_conv2d`` and every session) picks the
+            K-panel blocked engine at these lowered shapes;
+            ``"vectorized"`` pins the per-k engine and ``"reference"``
+            the oracle loops (orders of magnitude slower at this size).
+            The statistics do not depend on the engine, so every row is
+            identical across them.
         config: GPU configuration for the im2col cost calibration and
             the issue-limited device time.
 

@@ -17,6 +17,18 @@ quarantines permanently failing cells instead of aborting the grid, and
 accepts an :class:`repro.runtime.faults.ExecutorFaultPlan` so every
 recovery path is testable on demand.
 
+Isolated attempts run in one forked worker process each.  Before the
+first fork the parent imports each distinct pending driver and then
+caps every loaded OpenBLAS (:mod:`repro.utils.blas`): workers inherit
+NumPy, SciPy and the zoo instead of importing them, and SciPy's own
+OpenBLAS is capped with NumPy's.  A driver whose import raises is left
+for its worker to reproduce, so only its own cells are quarantined.
+The ``spawn`` fallback skips the import, since a spawned worker imports
+everything afresh, and a cached plan imports no driver at all.  There
+is no worker pool: a fresh process per attempt is what lets the parent
+kill a hung or faulted attempt (``task_timeout_s``, the kill faults)
+without losing any other.
+
 Results always come back in task order, so serial, parallel, cached and
 resumed invocations print identical reports.
 """
@@ -423,6 +435,17 @@ def _execute_inline(run: _PlanRun, pending: "Sequence[PlanEntry]") -> None:
 _POLL_S = 0.05
 
 
+def _import_drivers(pending: "Sequence[PlanEntry]") -> None:
+    """Import each distinct pending driver here, for forked workers to
+    inherit.  A driver whose import raises is skipped: its worker re-runs
+    the import and ships the error."""
+    for name in dict.fromkeys(entry.task.experiment for entry in pending):
+        try:
+            get_experiment(name).resolve()
+        except Exception:
+            continue
+
+
 def _execute_isolated(
     run: _PlanRun, pending: "Sequence[PlanEntry]", jobs: int
 ) -> None:
@@ -433,11 +456,16 @@ def _execute_isolated(
     waits on their pipes, kills anything past its deadline and folds
     every outcome through the shared retry/quarantine bookkeeping.
     """
-    # ``fork`` where available: workers inherit the parent's imports.
+    # ``fork`` where available: workers inherit the parent's imports, so
+    # import each pending driver once here, before the BLAS cap and the
+    # first fork, instead of in every attempt.  A spawned worker imports
+    # everything afresh, so the fallback skips it.  No pool: one process
+    # per attempt is what lets the parent kill an attempt on its own.
     methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else methods[0]
-    )
+    start_method = "fork" if "fork" in methods else methods[0]
+    context = multiprocessing.get_context(start_method)
+    if start_method == "fork":
+        _import_drivers(pending)
     timeout_s = run.policy.task_timeout_s
     queue: "list[tuple[PlanEntry, int, float]]" = [
         (entry, 1, 0.0) for entry in pending  # (entry, attempt, ready_at)
@@ -480,7 +508,9 @@ def _execute_isolated(
 
     # Forked workers inherit the parent's OpenBLAS pool size: cap it so
     # ``jobs`` concurrent attempts share the cores instead of each running
-    # a pool sized for all of them (see repro.utils.blas).
+    # a pool sized for all of them (see repro.utils.blas).  The drivers
+    # were imported above, so SciPy's own OpenBLAS is mapped and capped
+    # too, not loaded uncapped inside each worker.
     blas_saved = cap_blas_threads(jobs)
     try:
         while flights or (queue and not run.aborted):

@@ -5,10 +5,18 @@ and nonzero exit; ``--list``) and the tentpole guarantees (cached and
 parallel invocations print byte-identical tables).
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.registry import EXPERIMENTS
-from repro.experiments.runner import main as runner_main
+from repro.experiments.runner import _eta_text, main as runner_main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -111,6 +119,70 @@ class TestCachedAndParallelIdentity:
         _, _, err = run_cli(capsys, "--quick", "fig19", "fig5")
         assert "[runner] 1/2" in err
         assert "[runner] 2/2" in err
+
+
+@pytest.mark.parametrize(
+    "durations, pending_left, jobs, text",
+    [
+        ([2.0, 4.0], 5, 1, ", eta 15s"),  # mean task time x tasks left
+        ([2.0, 4.0], 6, 2, ", eta 9s"),  # jobs share the tasks left
+        ([2.0, 4.0], 1, 4, ", eta 3s"),  # never more jobs than tasks
+        ([], 3, 2, ""),
+        ([2.0], 0, 2, ""),
+    ],
+)
+def test_eta_is_remaining_wall_time(durations, pending_left, jobs, text):
+    assert _eta_text(durations, pending_left, jobs) == text
+
+
+#: Runs the runner CLI and writes the modules it imported to argv[1].
+IMPORT_PROBE = """
+import json, sys
+from repro.experiments.runner import main
+
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w") as handle:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, handle)
+"""
+
+
+class TestImportContract:
+    """A dry run and a fully cached run never pay for the computation's
+    imports: no SciPy, no kernels, no model zoo and no driver module."""
+
+    ARGV = ["--quick", "--jobs", "2", "fig5", "fig19", "table4"]
+
+    def heavy_imports(self, tmp_path, *argv):
+        report = tmp_path / "imports.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
+        )
+        subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, str(report), *argv],
+            env=env,
+            capture_output=True,
+            check=True,
+            timeout=120,
+        )
+        result = json.loads(report.read_text())
+        assert result["code"] == 0
+        drivers = {spec.module for spec in EXPERIMENTS.values()}
+        return [
+            name
+            for name in result["modules"]
+            if name in drivers
+            or name.split(".")[0] == "scipy"
+            or name.startswith(("repro.kernels", "repro.nn.models"))
+        ]
+
+    def test_dry_run_imports_no_driver(self, tmp_path):
+        assert self.heavy_imports(tmp_path, *self.ARGV, "--dry-run") == []
+
+    def test_cached_run_imports_no_driver(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, *self.ARGV)
+        assert code == 0
+        assert self.heavy_imports(tmp_path, *self.ARGV) == []
 
 
 class TestDryRun:
