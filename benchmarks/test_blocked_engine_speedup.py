@@ -7,6 +7,13 @@ ResNet-18 run, and asserts the >= 5x advantage at 2048^3 with
 bit-identical statistics and exact numeric output (the operands are
 integer-valued, so the panel re-association is exact).
 
+The calibration gate is the measurement behind ``backend="auto"``
+resolving to the blocked engine at every shape: it times both engines,
+statistics included, on the smallest served layer (Demo-GEMM's
+16 x 18 x 12) and on Mask R-CNN's mask-head layer at bench scale
+(49 x 2304 x 256), prints the table and asserts the blocked engine is
+not slower at either.
+
 The warp-tile gate times an RNN-shaped block-pruned product — a
 4096 x 2048 A pruned in 32 x 32 blocks at 5% block density times a dense
 2048 x 1024 B — against a dense ``np.matmul`` of the same float64
@@ -25,6 +32,7 @@ from repro.core.operands import EncodedOperand
 from repro.core.spgemm_device import device_spgemm
 from repro.core.spgemm_warp import WarpTileConfig
 from repro.nn.functional import run_model_functional
+from repro.sparsity.generators import random_sparse_matrix
 
 SPARSITY = 0.7
 MIN_SPEEDUP_2048 = 5.0
@@ -34,6 +42,10 @@ TILE_SHAPE = (4096, 2048, 1024)
 TILE_BLOCK = 32
 TILE_BLOCK_DENSITY = 0.05
 MIN_TILE_SPEEDUP = 1.3
+
+#: (M, K, N) of the calibration gate: Demo-GEMM's g1 layer, and
+#: Mask R-CNN's mask-head layer at bench scale.
+CALIBRATION_SHAPES = ((16, 18, 12), (49, 2304, 256))
 
 
 def _timed(func):
@@ -132,3 +144,39 @@ def test_bench_warp_tile_skip_speedup():
         f"warp-tile path only {speedup:.2f}x faster than a dense matmul on "
         f"{share:.2f} of the tiles (required: {MIN_TILE_SPEEDUP}x)"
     )
+
+
+def _best_of(repeats, func):
+    """Fastest of ``repeats`` wall-clock samples of one call, seconds."""
+    return min(_timed(func)[0] for _ in range(repeats))
+
+
+def test_bench_auto_calibration():
+    rng = np.random.default_rng(25)
+    rows = []
+    for m_dim, k_dim, n_dim in CALIBRATION_SHAPES:
+        a = random_sparse_matrix((m_dim, k_dim), 0.5, rng)
+        b = random_sparse_matrix((k_dim, n_dim), 0.6, rng)
+        seconds = {
+            backend: _best_of(
+                5, lambda: device_spgemm(a, b, backend=backend)
+            )
+            for backend in ("vectorized", "blocked")
+        }
+        rows.append(((m_dim, k_dim, n_dim), seconds))
+    print()
+    print(f"{'M x K x N':>16} {'vectorized':>12} {'blocked':>10} {'ratio':>7}")
+    for shape, seconds in rows:
+        ratio = seconds["vectorized"] / seconds["blocked"]
+        print(
+            f"{' x '.join(map(str, shape)):>16} "
+            f"{seconds['vectorized'] * 1e3:>10.3f}ms "
+            f"{seconds['blocked'] * 1e3:>8.3f}ms {ratio:>6.1f}x"
+        )
+    for shape, seconds in rows:
+        assert seconds["blocked"] <= seconds["vectorized"], (
+            f"blocked engine slower than the vectorized engine at {shape}: "
+            f"{seconds['blocked'] * 1e3:.3f} ms vs "
+            f"{seconds['vectorized'] * 1e3:.3f} ms, so backend='auto' "
+            "would pick the slower engine there"
+        )

@@ -2,15 +2,15 @@
 # Smoke-test CI: the tier-1 test suite, then only what tier-1 does not
 # already run.  Tier-1 (`pytest -x -q` from the root) collects every
 # test under tests/ and benchmarks/ — the golden snapshots, the parity
-# suites, the conformance grid, the serving and sweep-runtime suites and
-# the gated benchmarks — so none of them is re-run here.  The extra steps
-# are a doctest pass over the README quickstart snippets, a quick
-# serve_daemon runner smoke, a wall-clock chaos soak smoke of the socket
-# serving front-end (real server subprocess, seeded net faults, SIGKILL
-# + restart, SIGTERM drain — the exactly-one-terminal, digest-identity
-# and drain invariants must hold), a kill-and-resume smoke that SIGKILLs
-# a live sweep and demands a byte-identical report after --resume, and
-# a parallel + cached runner smoke pass whose cold run must journal no
+# suites, the conformance grid, the serving and sweep-runtime suites,
+# the README doctests and the gated benchmarks — so none of them is
+# re-run here.  The extra steps are a quick serve_daemon runner smoke,
+# a wall-clock chaos soak smoke of the socket serving front-end (real
+# server subprocess, seeded net faults, SIGKILL + restart, SIGTERM
+# drain — the exactly-one-terminal, digest-identity and drain
+# invariants must hold), a kill-and-resume smoke that SIGKILLs a live
+# sweep and demands a byte-identical report after --resume, and a
+# parallel + cached runner smoke pass whose cold run must journal no
 # failed attempt and whose cached re-run must print byte-identical
 # tables.
 # Run from anywhere; no arguments.
@@ -21,9 +21,6 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1: pytest =="
 python -m pytest -x -q
-
-echo "== README quickstart doctests =="
-python -m pytest -q --doctest-glob=README.md README.md
 
 echo "== serving daemon smoke (quick Poisson run over the zoo) =="
 timeout 300 python -m repro.experiments.runner --quick --no-cache serve_daemon \

@@ -12,8 +12,8 @@ Modules:
 * :mod:`repro.core.spgemm_device` — device-level tiled SpGEMM using the
   two-level bitmap (Figures 8 and 9).
 * :mod:`repro.core.engine` / :mod:`repro.core.engine_blocked` — the
-  vectorized and K-panel blocked functional engines that the default
-  ``backend="auto"`` picks between by workload size.
+  bit-exact vectorized engine and the K-panel blocked engine, which the
+  default ``backend="auto"`` runs at every shape.
 * :mod:`repro.core.operands` — pre-encoded GEMM operands (encode once,
   multiply many times) shared by every functional engine, and
   ``device_stats_from_operands``, the one instruction and traffic

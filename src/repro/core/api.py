@@ -12,10 +12,9 @@ These are the entry points a downstream user is expected to call:
 * :func:`spconv` — dual-side sparse convolution.
 
 All functional entry points accept ``backend="auto"`` (the default —
-the K-panel blocked engine of :mod:`repro.core.engine_blocked` for
-large shapes, the per-step vectorized engine of
-:mod:`repro.core.engine` otherwise), ``backend="blocked"`` /
-``backend="vectorized"`` to pin one engine, or ``backend="reference"``
+the K-panel blocked engine of :mod:`repro.core.engine_blocked`, at
+every shape), ``backend="blocked"`` / ``backend="vectorized"`` (the
+per-step engine of :mod:`repro.core.engine`) to pin one engine, or ``backend="reference"``
 (the original per-warp-tile Python loop, kept as a cross-check
 oracle).  All backends produce identical statistics; numerics are
 bit-identical between the vectorized engine and the reference loop,
@@ -156,8 +155,7 @@ def spgemm(
             results (encode once, multiply many times).
         b: right operand (K x N), same accepted types (``order="row"``).
         config: warp-tile geometry; defaults to the paper's 32x32x16.
-        backend: ``"auto"`` (default) picks the blocked engine for
-            large shapes and the vectorized engine otherwise;
+        backend: ``"auto"`` (default) runs the blocked engine;
             ``"blocked"`` / ``"vectorized"`` / ``"reference"`` select
             one path explicitly.
     """

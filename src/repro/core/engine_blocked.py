@@ -1,4 +1,4 @@
-"""Blocked functional SpGEMM engine — the large-shape fast path.
+"""Blocked functional SpGEMM engine — the default at every shape.
 
 The vectorized engine (:mod:`repro.core.engine`) replays the condensed
 outer-product semantics literally: one Python-level rank-1 update per
@@ -254,7 +254,8 @@ def blocked_device_spgemm(
 ) -> "DeviceSpGemmResult":
     """Blocked functional device-level SpGEMM.
 
-    Drop-in replacement for the vectorized engine on large shapes: the
+    Drop-in replacement for the vectorized engine (the default at every
+    shape, see :func:`~repro.core.spgemm_device.resolve_backend`): the
     numeric product comes from :func:`blocked_numeric_product`, every
     statistics field from the shared closed-form operand summaries
     (:func:`repro.core.operands.device_stats_from_operands`) —

@@ -10,10 +10,11 @@ oracles (cross-checked in ``tests/core/test_im2col_engines.py``).
 
 Two engines live here:
 
-* :func:`lower_windows` — one strided-window gather that produces the
-  whole (OH*OW, K*K*C) lowered matrix in a single NumPy operation.  The
-  dense, outer-friendly and CSR variants build on it (their differences
-  are purely in accounting, which is closed-form).
+* :func:`lower_windows` — K² strided slab copies, one per kernel
+  offset, that produce the whole (OH*OW, K*K*C) lowered matrix in
+  column-major order.  The dense, outer-friendly and CSR variants build
+  on it (their differences are purely in accounting, which is
+  closed-form).
 * :func:`bitmap_lowering` — the word-level register algorithm of
   Figure 11b (S1-S4), applied to every (channel, feature-map row) at
   once.  All row bitmaps are packed into ``uint32`` words (S1), the
@@ -69,30 +70,49 @@ def check_im2col_backend(backend: str) -> None:
 
 
 def pad_feature_map(feature_map: np.ndarray, padding: int) -> np.ndarray:
-    """Symmetric spatial zero padding of a (C, H, W) feature map."""
-    if padding:
-        return np.pad(feature_map, ((0, 0), (padding, padding), (padding, padding)))
-    return feature_map
+    """Symmetric spatial zero padding of a (C, H, W) feature map.
+
+    The same array ``np.pad`` returns, built as one zeroed allocation
+    and one interior copy (``np.pad``'s generic per-axis machinery costs
+    more than the copy on a small map).
+    """
+    if not padding:
+        return feature_map
+    channels, height, width = feature_map.shape
+    padded = np.zeros(
+        (channels, height + 2 * padding, width + 2 * padding),
+        dtype=feature_map.dtype,
+    )
+    padded[:, padding : padding + height, padding : padding + width] = feature_map
+    return padded
 
 
 def lower_windows(
     padded: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int
 ) -> np.ndarray:
-    """Lower a padded (C, Hp, Wp) map to (OH*OW, K*K*C) in one gather.
+    """Lower a padded (C, Hp, Wp) map to (OH*OW, K*K*C), column-major.
 
     Column ``c*K*K + ki*K + kj`` holds, for every output position, the
     element at channel ``c`` and kernel offset ``(ki, kj)`` — the same
-    layout every reference loop produces, built from one strided
-    sliding-window view instead of a C x K x K Python loop nest.
+    layout every reference loop produces.  The matrix is built as its
+    transpose: one (K*K*C, OH*OW) buffer filled by K² strided slab
+    copies, one per kernel offset, so every copy writes contiguous rows.
+    The returned F-contiguous view holds the same element at every index
+    as a row-major lowering; :func:`bitmap_lowering` allocates the same
+    order, so both lowerings hand BLAS identical arrays.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (kernel, kernel), axis=(1, 2)
-    )[:, ::stride, ::stride]
-    # (C, OH, OW, K, K) -> (OH, OW, C, K, K) -> (OH*OW, C*K*K); the
-    # reshape of the transposed view materialises one contiguous copy.
-    return windows.transpose(1, 2, 0, 3, 4).reshape(
-        out_h * out_w, padded.shape[0] * kernel * kernel
+    channels = padded.shape[0]
+    columns = np.empty(
+        (channels, kernel, kernel, out_h, out_w), dtype=padded.dtype
     )
+    row_stop = stride * (out_h - 1) + 1
+    col_stop = stride * (out_w - 1) + 1
+    for ki in range(kernel):
+        for kj in range(kernel):
+            columns[:, ki, kj] = padded[
+                :, ki : ki + row_stop : stride, kj : kj + col_stop : stride
+            ]
+    return columns.reshape(channels * kernel * kernel, out_h * out_w).T
 
 
 def bit_offsets_rows(bits: np.ndarray) -> np.ndarray:
@@ -139,10 +159,10 @@ def bitmap_lowering(
 
     Returns:
         ``(lowered, value_reads)`` — the dense (OH*OW, K*K*C) lowered
-        matrix (zeros stay zero; non-zero positions are verbatim copies
-        routed through the condensed array) and the number of condensed
-        values fetched, which equals the reference loop's ``value_reads``
-        / ``value_writes`` tally.
+        matrix in column-major order (zeros stay zero; non-zero
+        positions are verbatim copies routed through the condensed
+        array) and the number of condensed values fetched, which equals
+        the reference loop's ``value_reads`` / ``value_writes`` tally.
     """
     channels, padded_h, padded_w = padded.shape
     bits = padded != 0
@@ -159,8 +179,11 @@ def bitmap_lowering(
     condensed = padded.reshape(channels * padded_h, padded_w)[flat_bits]
     global_offsets = row_starts[:, None] + offsets
 
+    # Column-major, as :func:`lower_windows` builds it.
     lowered = np.zeros(
-        (out_h * out_w, kernel * kernel * channels), dtype=padded.dtype
+        (out_h * out_w, kernel * kernel * channels),
+        dtype=padded.dtype,
+        order="F",
     )
     lowered_rows = np.arange(out_h * out_w).reshape(out_h, out_w)
     channel_base = np.arange(channels)[:, None] * padded_h

@@ -54,24 +54,42 @@ SIDES = ("a", "b")
 
 
 def segment_nnz(mask: np.ndarray, tile: int, axis: int) -> np.ndarray:
-    """Per-segment non-zero counts along ``axis`` in blocks of ``tile``.
+    """Per-segment sums along ``axis`` in blocks of ``tile``, as int64.
 
-    For ``axis=0`` the (rows, cols) mask is zero-padded to a row-count
-    multiple of ``tile`` and reduced to shape ``(rows/tile, cols)``; for
-    ``axis=1`` the reduction runs over column blocks instead.
+    For ``axis=0`` a (rows, cols) array reduces to ``(ceil(rows/tile),
+    cols)``; for ``axis=1`` the reduction runs over column blocks
+    instead.  A ragged last block sums only the elements it holds.
+
+    A boolean mask is counted in uint8 when a block's count cannot
+    exceed 255; any other input (e.g. the int64 counts that the k-tile
+    reduction of :func:`_build_summary` sums) keeps an int64
+    accumulator.  Along a contiguous axis the blocks are reduced in place
+    (``np.add.reduceat``); along a strided axis as whole-row additions
+    (a reshape view), with no copy of the input either way.
     """
-    rows, cols = mask.shape
-    if axis == 0:
-        n_seg = num_tiles(rows, tile)
-        pad = n_seg * tile - rows
-        if pad:
-            mask = np.pad(mask, ((0, pad), (0, 0)))
-        return mask.reshape(n_seg, tile, cols).sum(axis=1, dtype=np.int64)
-    n_seg = num_tiles(cols, tile)
-    pad = n_seg * tile - cols
-    if pad:
-        mask = np.pad(mask, ((0, 0), (0, pad)))
-    return mask.reshape(rows, n_seg, tile).sum(axis=2, dtype=np.int64)
+    if mask.dtype == np.bool_ and tile <= 255:
+        # The same bytes as uint8: the reductions below cast nothing (a
+        # cast would copy the whole mask first).
+        mask, dtype = mask.view(np.uint8), np.uint8
+    else:
+        dtype = np.int64
+    length = mask.shape[axis]
+    if mask.strides[axis] == mask.itemsize:
+        counts = np.add.reduceat(
+            mask, np.arange(0, length, tile), axis=axis, dtype=dtype
+        )
+        return counts.astype(np.int64, copy=False)
+    lines = mask if axis == 0 else mask.T
+    full = length // tile
+    counts = np.empty((num_tiles(length, tile), lines.shape[1]), dtype=np.int64)
+    counts[:full] = (
+        lines[: full * tile]
+        .reshape(full, tile, lines.shape[1])
+        .sum(axis=1, dtype=dtype)
+    )
+    if full < counts.shape[0]:
+        counts[full] = lines[full * tile :].sum(axis=0, dtype=dtype)
+    return counts if axis == 0 else counts.T
 
 
 def tile_extents(dim: int, tile: int) -> np.ndarray:

@@ -138,8 +138,7 @@ def sparse_conv2d(
         backend: execution backend of the *whole* pipeline.  Any
             non-``"reference"`` value chains the word-level im2col
             engine into the selected SpGEMM engine — ``"auto"`` (the
-            default) lets the SpGEMM stage pick the K-panel blocked
-            engine for large lowered shapes; ``"reference"`` runs the
+            default) is the blocked engine; ``"reference"`` runs the
             original Python loops end to end.  All backends produce
             identical statistics (bit-identical output for
             ``"vectorized"`` vs ``"reference"``).

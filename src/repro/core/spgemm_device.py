@@ -23,8 +23,11 @@ Three execution paths are provided, all behind :func:`device_spgemm`'s
   ``tests/core/test_spgemm_device.py``) and as the only path able to
   replay accumulation-buffer access positions.
 
-``backend="auto"`` (the default) picks the blocked engine for large
-workloads and the vectorized engine otherwise.
+``backend="auto"`` (the default) runs the blocked engine at every
+shape: calibrated across the zoo's and the demo models' layer shapes,
+it beats the vectorized engine from the smallest products up
+(``benchmarks/test_blocked_engine_speedup.py`` keeps the comparison as
+a gate).
 
 Both engines read their :class:`DeviceStats` from one statistics
 function, :func:`repro.core.operands.device_stats_from_operands`, which
@@ -116,29 +119,18 @@ class DeviceSpGemmResult:
 #: Valid ``backend=`` values of :func:`device_spgemm`.
 BACKENDS = ("auto", "blocked", "vectorized", "reference")
 
-#: Work size (M * K * N) at and above which ``backend="auto"`` routes to
-#: the K-panel blocked engine instead of the per-step vectorized engine.
-#: Below the threshold the vectorized engine is kept for its bit-exact
-#: reference parity; above it the blocked engine's BLAS panels win by a
-#: wide margin (roughly 10x already at this size) and stay exact on
-#: integer-valued data (within 2 float32 ulps otherwise — see
-#: :mod:`repro.core.engine_blocked`).
-AUTO_BLOCKED_MIN_WORK = 1 << 25
-
-
-def resolve_backend(
-    backend: str,
-    m_dim: int,
-    k_dim: int,
-    n_dim: int,
-    collect_positions: bool = False,
-) -> str:
+def resolve_backend(backend: str, collect_positions: bool = False) -> str:
     """Map a ``backend=`` argument to the concrete engine to run.
 
-    ``"auto"`` picks the blocked engine for large shapes (work size at
-    least :data:`AUTO_BLOCKED_MIN_WORK`) and the vectorized engine
-    otherwise.  ``collect_positions`` always forces the reference loop —
-    the per-step accumulation-buffer replay is inherently sequential.
+    ``"auto"`` is the blocked engine, whatever the shape: it is faster
+    than the vectorized engine at every measured shape, from a 16 x 18 x
+    12 demo layer (2.7x) up (the calibration table in
+    ``docs/architecture.md``).  Its contract is the blocked engine's:
+    identical statistics, and numerics exact on integer-valued data and
+    within 2 float32 ulps otherwise; ``"vectorized"`` stays the
+    bit-exact engine.  ``collect_positions`` always forces the reference
+    loop — the per-step accumulation-buffer replay is inherently
+    sequential.
 
     Raises:
         ConfigError: the name is not in :data:`BACKENDS`.
@@ -150,9 +142,7 @@ def resolve_backend(
     if collect_positions:
         return "reference"
     if backend == "auto":
-        if m_dim * k_dim * n_dim >= AUTO_BLOCKED_MIN_WORK:
-            return "blocked"
-        return "vectorized"
+        return "blocked"
     return backend
 
 
@@ -178,16 +168,16 @@ def device_spgemm(
         collect_positions: record accumulation-buffer access positions
             (slow; only for small, hardware-replayed cases — forces the
             ``"reference"`` backend).
-        backend: ``"auto"`` (default) picks the K-panel blocked engine
-            (:mod:`repro.core.engine_blocked`) for large shapes and the
-            per-step vectorized engine (:mod:`repro.core.engine`)
-            otherwise; the names ``"blocked"`` / ``"vectorized"`` /
-            ``"reference"`` select one path explicitly.  All backends
-            return identical statistics; numerics are bit-identical
-            between ``"vectorized"`` and ``"reference"``, and exact on
-            integer-valued data (within 2 float32 ulps otherwise) for
-            ``"blocked"``.  Pre-encoded operands never change the result
-            — only how much per-call work is skipped.
+        backend: ``"auto"`` (default) runs the blocked engine
+            (:mod:`repro.core.engine_blocked`); the names ``"blocked"``
+            / ``"vectorized"`` (the per-step engine of
+            :mod:`repro.core.engine`) / ``"reference"`` select one path
+            explicitly.  All backends return identical statistics;
+            numerics are bit-identical between ``"vectorized"`` and
+            ``"reference"``, and exact on integer-valued data (within 2
+            float32 ulps otherwise) for ``"blocked"``.  Pre-encoded
+            operands never change the result — only how much per-call
+            work is skipped.
 
     Returns:
         The product ``a @ b`` plus the statistics needed by the cost
@@ -200,7 +190,7 @@ def device_spgemm(
         raise ShapeError(f"inner dimensions differ: {a_op.shape} @ {b_op.shape}")
     m_dim, k_dim = a_op.shape
     n_dim = b_op.shape[1]
-    resolved = resolve_backend(backend, m_dim, k_dim, n_dim, collect_positions)
+    resolved = resolve_backend(backend, collect_positions)
     if resolved == "blocked":
         from repro.core.engine_blocked import blocked_device_spgemm
 

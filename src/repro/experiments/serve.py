@@ -48,7 +48,8 @@ def run_serve(
         config: GPU configuration used to convert exact OHMMA counts to
             issue-limited device time and modelled images/sec.
         tile_config: warp-tile geometry override.
-        backend: SpGEMM backend, resolved per per-image GEMM shape.
+        backend: SpGEMM backend of every session (``"auto"``: the
+            blocked engine).
         pruning: named pruning method from
             :data:`repro.pruning.methods.PRUNING_METHODS` applied to
             every model's weights instead of its native pattern

@@ -68,7 +68,8 @@ def run_serve_daemon(
             schedule.
         config: GPU preset for the modelled service time.
         tile_config: warp-tile geometry override.
-        backend: SpGEMM backend, resolved per per-image GEMM shape.
+        backend: SpGEMM backend of every session (``"auto"``: the
+            blocked engine).
         pruning: named pruning method applied to every model's weights
             (``None`` — reported as ``native``).
 

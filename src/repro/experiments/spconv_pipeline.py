@@ -83,8 +83,8 @@ def run_spconv(
         weight_sparsity: zero fraction of the pruned weights.
         backend: pipeline backend, forwarded to
             :func:`~repro.core.spconv.sparse_conv2d`.  ``"auto"`` (the
-            default, as in ``sparse_conv2d`` and every session) picks the
-            K-panel blocked engine at these lowered shapes;
+            default, as in ``sparse_conv2d`` and every session) is the
+            blocked engine, on its K-panel path at these lowered shapes;
             ``"vectorized"`` pins the per-k engine and ``"reference"``
             the oracle loops (orders of magnitude slower at this size).
             The statistics do not depend on the engine, so every row is

@@ -1,4 +1,4 @@
-"""Whole-model functional runs through the vectorized SpGEMM engine.
+"""Whole-model functional runs through the functional SpGEMM engines.
 
 The model database (:mod:`repro.nn.models`) describes each network as a
 list of layer specs with the sparsities the paper's pruning setup
@@ -16,8 +16,8 @@ inference sessions of :mod:`repro.nn.session` reproduce these runs
 bit-for-bit while encoding the weights only once.
 
 With the reference Python loop such runs were restricted to toy sizes;
-the K-panel blocked engine (:mod:`repro.core.engine_blocked`, selected
-by ``backend="auto"`` for large layers) makes full-resolution
+the K-panel blocked engine (:mod:`repro.core.engine_blocked`, which
+``backend="auto"`` runs on every layer) makes full-resolution
 (``scale=1.0``) whole-model runs the default.  The ``scale`` knob
 shrinks spatial (CNN) / batch-row (GEMM) dimensions for quick smoke
 runs; weight shapes and sparsity patterns are never scaled, so the
@@ -198,9 +198,8 @@ def run_model_functional(
             extent, GEMM batch rows); ``1.0`` runs paper-sized layers.
         seed: RNG seed for the synthetic pruned operands.
         config: warp-tile geometry shared by all layers.
-        backend: SpGEMM backend — ``"auto"`` (default: the K-panel
-            blocked engine for large layers, the vectorized engine
-            otherwise), ``"blocked"``, ``"vectorized"`` or
+        backend: SpGEMM backend — ``"auto"`` (default: the blocked
+            engine), ``"blocked"``, ``"vectorized"`` or
             ``"reference"``.
         image: which served input to draw the activations for (weights
             do not depend on it).  ``run_model_functional(..., image=i)``

@@ -17,12 +17,14 @@ precisely the amortisation the paper's bitmap encoding is designed for
   engine's warp-tile path plans from), the float64 view, the per-k
   non-zero counts and (on the first K-panel multiply) the condensed
   K-panels are all cached for the session lifetime;
-* :meth:`CompiledModel.run` serves a whole batch: per layer, the B
-  per-image operands are stacked along the fused GEMM's batch axis (the
-  lowered-row M dimension for conv layers, the transposed-activation N
-  dimension for GEMM layers) and pushed through the engine in one pass,
-  then split back into per-image outputs.  Conv layers lower each image
-  straight into the float64 operand the engines multiply.
+* :meth:`CompiledModel.run` serves a whole batch: per layer, one
+  blocked product per image against the cached weight side (a session
+  compiled with ``backend="vectorized"`` instead stacks the B per-image
+  operands along the fused GEMM's batch axis — the lowered-row M
+  dimension for conv layers, the transposed-activation N dimension for
+  GEMM layers — pushes them through the engine in one pass and splits
+  the output back per image).  Conv layers lower each image straight
+  into the float64 operand the engines multiply.
 
 Parallel batches
 ----------------
@@ -48,12 +50,14 @@ same numeric outputs bit for bit, same value in every
 :class:`~repro.core.spgemm_device.DeviceStats` field.  Three properties
 make this hold (asserted in ``tests/nn/test_session.py``):
 
-* the engine backend is resolved from the *per-image* GEMM shape, never
-  the fused one, so a batch never changes which engine semantics apply;
+* the engine backend does not depend on the GEMM shape (``"auto"`` is
+  the blocked engine at every shape,
+  :func:`~repro.core.spgemm_device.resolve_backend`), so a batch never
+  changes which engine semantics apply;
 * the vectorized engine's rank-1 updates are fold-safe — every output
   element receives its products independently of all other rows and
-  columns — so vectorized layers genuinely execute as one fused SpGEMM
-  over the stacked operand;
+  columns — so a ``backend="vectorized"`` session genuinely executes
+  each layer as one fused SpGEMM over the stacked operand;
 * BLAS matmuls are *not* fold-safe (kernel selection and blocking
   change with the operand shape), so blocked layers keep per-image
   blocked products inside the batched call — K-panel matmuls, or one
@@ -366,7 +370,7 @@ class CompiledModel:
         m_img = layer.out_h * layer.out_w
         k_dim = w_op.shape[0]
         n_dim = spec.out_channels
-        resolved = resolve_backend(self.backend, m_img, k_dim, n_dim)
+        resolved = resolve_backend(self.backend)
 
         # The strided-window gather produces the lowered matrix
         # bit-identically to the bitmap im2col simulation (the engines
@@ -452,7 +456,7 @@ class CompiledModel:
             for i in images
         ]
         m_rows = layer.m_rows
-        resolved = resolve_backend(self.backend, spec.n, spec.k, m_rows)
+        resolved = resolve_backend(self.backend)
 
         if resolved == "vectorized":
             stats = [
@@ -526,7 +530,9 @@ def compile_model(
             :func:`~repro.nn.functional.run_model_functional`).
         seed: RNG seed shared with the per-image oracle.
         tile_config: warp-tile geometry shared by all layers.
-        backend: SpGEMM backend, resolved per *per-image* GEMM shape.
+        backend: SpGEMM backend of every layer (``"auto"``: the blocked
+            engine; ``"vectorized"`` fuses a chunk's images into one
+            product).
         element_bytes: operand element width for traffic accounting.
         memo: reuse memoized synthetic operands across compiles and runs
             (see :mod:`repro.nn.synthetic`); disable for timing studies

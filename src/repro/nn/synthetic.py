@@ -27,6 +27,7 @@ them.  Two properties matter for the serving runtime:
 
 from __future__ import annotations
 
+import functools
 import threading
 import zlib
 from collections import OrderedDict
@@ -68,6 +69,14 @@ def operand_memo_size() -> int:
 def operand_memo_bytes() -> int:
     """Total bytes of the memoized operands."""
     return _memo_bytes
+
+
+@functools.lru_cache(maxsize=1024)
+def _spec_fields(spec: "ConvLayerSpec | GemmLayerSpec") -> dict:
+    """``asdict(spec)``, built once per spec: the memo keys hash it on
+    every operand of every image, and specs are frozen, so the fields
+    never change.  Read-only by convention — callers only serialise it."""
+    return asdict(spec)
 
 
 def _memo_key(kind: str, params: dict) -> str:
@@ -181,7 +190,7 @@ def conv_layer_weights(
 
     if not memo:
         return generate()
-    params = {"model": model, "spec": asdict(spec), "seed": seed}
+    params = {"model": model, "spec": _spec_fields(spec), "seed": seed}
     if pruning is not None:
         params["pruning"] = pruning
     return _memoized("conv-weights", params, generate)
@@ -210,7 +219,7 @@ def conv_feature_map(
         "conv-activations",
         {
             "model": model,
-            "spec": asdict(spec),
+            "spec": _spec_fields(spec),
             "seed": seed,
             "image": image,
             "scale": scale,
@@ -254,7 +263,7 @@ def gemm_layer_weights(
         return generate()
     params = {
         "model": model,
-        "spec": asdict(spec),
+        "spec": _spec_fields(spec),
         "seed": seed,
         "pattern": weight_pattern,
     }
@@ -287,7 +296,7 @@ def gemm_activations(
         "gemm-activations",
         {
             "model": model,
-            "spec": asdict(spec),
+            "spec": _spec_fields(spec),
             "seed": seed,
             "image": image,
             "scale": scale,

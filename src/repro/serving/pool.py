@@ -33,7 +33,8 @@ class SessionPool:
             to use each model's ``benchmark_scale`` metadata.
         seed: RNG seed of the synthetic operand streams (shared with the
             per-image oracle).
-        backend: SpGEMM backend, resolved per per-image GEMM shape.
+        backend: SpGEMM backend of every session (``"auto"``: the
+            blocked engine).
         pruning: named pruning method applied to every model's weights
             (``None`` keeps each model's native pattern).
         memo: reuse memoized synthetic operands across compiles/runs.

@@ -26,7 +26,7 @@ from repro.core.engine_blocked import (
     blocked_device_spgemm,
     tile_share,
 )
-from repro.core.operands import EncodedOperand, as_gemm_operand
+from repro.core.operands import EncodedOperand, as_gemm_operand, segment_nnz
 from repro.core.spgemm_device import BACKENDS, device_spgemm
 from repro.core.spgemm_warp import WarpTileConfig
 from repro.errors import ConfigError
@@ -143,6 +143,47 @@ class TestWarpTilePath:
         a_op = EncodedOperand.for_a(a)
         device_spgemm(a_op, np.ones((512, 8)), element_bytes=4, backend="blocked")
         assert len(a_op._summaries) == 1
+
+
+def padded_segment_sums(values, tile, axis):
+    """Zero-pad to a multiple of ``tile`` along ``axis``, then sum blocks."""
+    values = np.asarray(values)
+    length = values.shape[axis]
+    pad = -length % tile
+    widths = [(0, 0), (0, 0)]
+    widths[axis] = (0, pad)
+    padded = np.pad(values, widths)
+    n_seg = (length + pad) // tile
+    if axis == 0:
+        blocks = padded.reshape(n_seg, tile, padded.shape[1])
+    else:
+        blocks = padded.reshape(padded.shape[0], n_seg, tile)
+    return blocks.sum(axis=axis + 1, dtype=np.int64)
+
+
+class TestSegmentCounts:
+    @pytest.mark.parametrize("shape", [(64, 48), (70, 33), (1, 5), (0, 4)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("tile", [16, 32, 300])
+    def test_boolean_masks_match_the_padded_sum(self, shape, order, axis, tile):
+        rng = np.random.default_rng(sum(shape) + tile)
+        mask = np.asarray(rng.random(shape) < 0.9, order=order)
+        counts = segment_nnz(mask, tile, axis)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, padded_segment_sums(mask, tile, axis))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_int64_counts_above_255_keep_an_int64_accumulator(
+        self, order, axis
+    ):
+        # The k-tile reduction of the operand summary sums per-segment
+        # counts of up to 32, so its block sums reach 16 * 32 = 512.
+        counts = np.asarray(np.full((40, 37), 32, dtype=np.int64), order=order)
+        sums = segment_nnz(counts, 16, axis)
+        assert sums.max() == 512
+        assert np.array_equal(sums, padded_segment_sums(counts, 16, axis))
 
 
 class TestEncodedAdversarial:

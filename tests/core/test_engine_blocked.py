@@ -39,11 +39,7 @@ from repro.core.engine_blocked import (
     blocked_device_spgemm,
     blocked_numeric_product,
 )
-from repro.core.spgemm_device import (
-    AUTO_BLOCKED_MIN_WORK,
-    device_spgemm,
-    resolve_backend,
-)
+from repro.core.spgemm_device import BACKENDS, device_spgemm, resolve_backend
 from repro.core.spgemm_warp import WarpTileConfig
 from repro.errors import ShapeError
 from repro.sparsity.generators import random_sparse_matrix
@@ -338,21 +334,28 @@ class TestAdversarialCases:
 
 
 class TestAutoDispatch:
-    def test_auto_picks_vectorized_below_threshold(self):
-        assert resolve_backend("auto", 32, 32, 32) == "vectorized"
-
-    def test_auto_picks_blocked_at_threshold(self):
-        size = round(AUTO_BLOCKED_MIN_WORK ** (1 / 3)) + 1
-        assert resolve_backend("auto", size, size, size) == "blocked"
+    def test_auto_resolves_to_blocked(self):
+        assert resolve_backend("auto") == "blocked"
+        for backend in BACKENDS[1:]:
+            assert resolve_backend(backend) == backend
 
     def test_collect_positions_forces_reference(self):
-        assert resolve_backend("auto", 4096, 4096, 4096, True) == "reference"
-        assert resolve_backend("blocked", 4096, 4096, 4096, True) == "reference"
+        assert resolve_backend("auto", collect_positions=True) == "reference"
+        assert resolve_backend("blocked", collect_positions=True) == "reference"
 
-    def test_default_backend_is_auto(self, rng):
+    def test_default_backend_is_auto(self, rng, monkeypatch):
         a = random_sparse_matrix((48, 32), 0.4, rng)
         b = random_sparse_matrix((32, 48), 0.4, rng)
+        ran = []
+        real = engine_blocked.blocked_device_spgemm
+
+        def spy(*args, **kwargs):
+            ran.append("blocked")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_blocked, "blocked_device_spgemm", spy)
         default = device_spgemm(a, b)
-        vectorized = device_spgemm(a, b, backend="vectorized")
-        assert np.array_equal(default.output, vectorized.output)
-        assert default.stats == vectorized.stats
+        assert ran == ["blocked"]
+        blocked = device_spgemm(a, b, backend="blocked")
+        assert np.array_equal(default.output, blocked.output)
+        assert default.stats == blocked.stats

@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 from repro.core.im2col_bitmap import bitmap_im2col
 from repro.core.im2col_csr import csr_im2col
 from repro.core.im2col_dense import dense_im2col
-from repro.core.im2col_engine import bit_offsets_rows
+from repro.core.im2col_engine import (
+    bit_offsets_rows,
+    bitmap_lowering,
+    lower_windows,
+    pad_feature_map,
+)
 from repro.core.im2col_outer import outer_friendly_im2col
 from repro.core.spconv import sparse_conv2d
 from repro.errors import ConfigError
@@ -171,6 +176,44 @@ class TestEngineInternals:
         assert offsets.shape == bits.shape
         for r in range(rows):
             assert np.array_equal(offsets[r], prefix_popcount(bits[r]))
+
+
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_column_major_lowering_matches_window_gather(self, kernel, stride):
+        """Both lowerings equal the sliding-window gather they replaced,
+        element for element, and are F-contiguous."""
+        rng = np.random.default_rng(kernel * 10 + stride)
+        fm = random_sparse_matrix((3 * 11, 10), 0.4, rng).reshape(3, 11, 10)
+        padded = pad_feature_map(fm, 1)
+        out_h = (padded.shape[1] - kernel) // stride + 1
+        out_w = (padded.shape[2] - kernel) // stride + 1
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, (kernel, kernel), axis=(1, 2)
+        )[:, ::stride, ::stride]
+        gathered = windows.transpose(1, 2, 0, 3, 4).reshape(
+            out_h * out_w, 3 * kernel * kernel
+        )
+        lowered = lower_windows(padded, kernel, stride, out_h, out_w)
+        bitmap, _ = bitmap_lowering(padded, kernel, stride, out_h, out_w)
+        for result in (lowered, bitmap):
+            assert result.flags.f_contiguous
+            assert result.dtype == fm.dtype
+            assert np.array_equal(result, gathered)
+
+    @pytest.mark.parametrize("padding", [0, 1, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pad_feature_map_equals_np_pad(self, padding, dtype):
+        rng = np.random.default_rng(padding)
+        fm = random_sparse_matrix((2 * 5, 7), 0.5, rng, dtype=dtype).reshape(
+            2, 5, 7
+        )
+        padded = pad_feature_map(fm, padding)
+        expected = np.pad(
+            fm, ((0, 0), (padding, padding), (padding, padding))
+        )
+        assert padded.dtype == expected.dtype
+        assert np.array_equal(padded, expected)
 
 
 class TestBackendValidation:

@@ -17,6 +17,7 @@ accounting that holds under concurrent callers.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import sys
@@ -30,18 +31,21 @@ from repro.core.reference import conv_output_shape
 from repro.core.spgemm_device import DeviceStats
 from repro.errors import ConfigError
 from repro.kernels.layer_spec import ConvLayerSpec
-from repro.nn import synthetic
+from repro.nn import session, synthetic
 from repro.nn.functional import run_model_functional
-from repro.nn.models import ModelDefinition
+from repro.nn.models import DEFAULT_MODELS, ModelDefinition
 from repro.nn.session import CompiledModel, compile_model, lowered_operand
 from repro.nn.synthetic import (
     clear_operand_memo,
     conv_feature_map,
     conv_layer_weights,
+    gemm_activations,
     gemm_layer_weights,
     operand_memo_bytes,
     operand_memo_size,
 )
+from repro.runtime.cache import ResultCache
+from repro.serving import demo_definitions
 from repro.serving.protocol import functional_run_digest
 from repro.utils import blas
 
@@ -135,6 +139,31 @@ class TestBatchFoldingParity:
     def test_run_image_equals_batch_of_one(self):
         compiled = compile_model("BERT-base Encoder", scale=0.25, seed=9)
         assert_runs_equal(compiled.run([5]).per_image[0], compiled.run_image(5))
+
+
+class TestAutoEngine:
+    @pytest.mark.parametrize(
+        "model", DEFAULT_MODELS + tuple(demo_definitions())
+    )
+    def test_auto_runs_every_layer_on_the_blocked_engine(
+        self, model, monkeypatch
+    ):
+        definition = demo_definitions().get(model, model)
+        compiled = compile_model(definition, scale=0.0625, seed=3)
+        backends = []
+        real = session.device_spgemm
+
+        def spy(*args, **kwargs):
+            backends.append(kwargs["backend"])
+            return real(*args, **kwargs)
+
+        def fused(*args, **kwargs):
+            raise AssertionError("the fused vectorized path ran")
+
+        monkeypatch.setattr(session, "device_spgemm", spy)
+        monkeypatch.setattr(session, "vectorized_numeric_product", fused)
+        compiled.run(2)
+        assert backends == ["blocked"] * (2 * len(compiled.layers))
 
 
 def require_parallel_batches():
@@ -376,6 +405,41 @@ class TestOperandMemo:
         )
         assert conv_feature_map("Tiny-CNN", spec, seed=2, image=0, memo=True) is base
         assert operand_memo_size() == 4
+
+    def test_memo_keys_hash_the_full_spec(self, monkeypatch):
+        keys = []
+        real = synthetic._memo_key
+
+        def recording(kind, params):
+            keys.append(real(kind, params))
+            return keys[-1]
+
+        monkeypatch.setattr(synthetic, "_memo_key", recording)
+        conv = tiny_cnn().conv_layers[0]
+        gemm = demo_definitions()["Demo-GEMM"].gemm_layers[0]
+        for spec, synth, kind in (
+            (conv, conv_feature_map, "conv-activations"),
+            (gemm, gemm_activations, "gemm-activations"),
+        ):
+            keys.clear()
+            synth("Tiny", spec, seed=2, image=1, scale=0.5, memo=True)
+            # An equal spec built separately shares the key (and the
+            # cached fields); one field apart changes it.
+            synth("Tiny", dataclasses.replace(spec), 2, 1, 0.5, memo=True)
+            changed = dataclasses.replace(spec, activation_sparsity=0.41)
+            synth("Tiny", changed, seed=2, image=1, scale=0.5, memo=True)
+            expected = ResultCache.key(
+                f"synthetic-{kind}",
+                {
+                    "model": "Tiny",
+                    "spec": dataclasses.asdict(spec),
+                    "seed": 2,
+                    "image": 1,
+                    "scale": 0.5,
+                },
+            )
+            assert keys[0] == keys[1] == expected
+            assert keys[2] != expected
 
     def test_clear_resets_memo(self):
         spec = tiny_cnn().conv_layers[0]
