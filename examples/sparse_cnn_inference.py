@@ -18,8 +18,9 @@ import numpy as np
 
 from repro.core.reference import reference_conv2d
 from repro.core.spconv import CompiledConvWeights, sparse_conv2d
-from repro.nn.activations import measure_activation_sparsity, relu
+from repro.nn.activations import relu
 from repro.pruning.agp import agp_prune
+from repro.sparsity.statistics import sparsity
 
 
 def build_network(
@@ -52,7 +53,7 @@ def main() -> None:
     feature_map = rng.standard_normal((4, 24, 24)) - 0.3
     feature_map = relu(feature_map)
 
-    print(f"input activation sparsity: {measure_activation_sparsity(feature_map):.2%}\n")
+    print(f"input activation sparsity: {sparsity(feature_map):.2%}\n")
 
     for name, weights, compiled in layers:
         result = relu(
@@ -65,7 +66,7 @@ def main() -> None:
 
         print(f"{name}:")
         print(f"  weight sparsity (AGP)     : {compiled.weight_sparsity:.2%}")
-        print(f"  output activation sparsity: {measure_activation_sparsity(result):.2%}")
+        print(f"  output activation sparsity: {sparsity(result):.2%}")
         feature_map = result
 
     print("\nall layers match the dense reference convolution")

@@ -8,7 +8,7 @@ in the paper:
 * the outer-product-friendly, bitmap-based implicit sparse im2col and the
   dual-side sparse convolution built on top of it,
 * the ISA extensions (OHMMA / BOHMMA / SpWMMA) and a reduced-fidelity
-  cycle-level simulator of the modified Tensor Core hardware,
+  timing model of the modified Tensor Core hardware,
 * calibrated cost models of the paper's baselines (CUTLASS, cuDNN,
   cuSparse, Sparse Tensor Core), and
 * the DNN-model substrate (VGG-16, ResNet-18, Mask R-CNN, BERT-base, RNN)
@@ -32,7 +32,6 @@ from repro.errors import (
     ShapeError,
     FormatError,
     ConfigError,
-    SimulationError,
 )
 from repro.version import __version__
 
@@ -83,6 +82,5 @@ __all__ = [
     "ShapeError",
     "FormatError",
     "ConfigError",
-    "SimulationError",
     "__version__",
 ]

@@ -18,9 +18,9 @@ Modules:
   multiply many times) shared by every functional engine, and
   ``device_stats_from_operands``, the one instruction and traffic
   counter.
-* :mod:`repro.core.im2col_dense` / ``im2col_outer`` / ``im2col_csr`` /
-  ``im2col_bitmap`` — the four im2col variants compared in Table III and
-  Figure 10/11.
+* :mod:`repro.core.im2col_dense` / ``im2col_csr`` / ``im2col_bitmap`` —
+  the three im2col variants compared in Table III; the bitmap one is the
+  paper's implicit sparse im2col (Figure 11).
 * :mod:`repro.core.spconv` — dual-side sparse convolution.
 * :mod:`repro.core.api` — user-facing entry points.
 """

@@ -64,33 +64,6 @@ def condense(vector: np.ndarray) -> CondensedVector:
     return CondensedVector(length=vector.size, bitmap=bitmap, values=vector[bitmap])
 
 
-def condense_from_bitmap(
-    bitmap: np.ndarray, values: np.ndarray, trusted: bool = False
-) -> CondensedVector:
-    """Build a condensed vector from an explicit bitmap + value pair.
-
-    Used when the operand already arrives in bitmap encoding (e.g. a
-    column slice of a :class:`repro.formats.bitmap.BitmapMatrix`).
-
-    Args:
-        bitmap: 1-D boolean mask of the non-zero positions.
-        values: the condensed non-zero values.
-        trusted: skip the O(length) set-bit popcount that cross-checks
-            ``bitmap`` against ``values``.  Internal fast path for the
-            engines, whose slices come straight out of a validated
-            encoding; the public (default) path keeps validating.
-    """
-    bitmap = np.asarray(bitmap, dtype=bool)
-    values = np.asarray(values)
-    if bitmap.ndim != 1:
-        raise ShapeError("bitmap must be 1-D")
-    if not trusted and int(bitmap.sum()) != values.size:
-        raise ShapeError(
-            f"bitmap has {int(bitmap.sum())} set bits but {values.size} values given"
-        )
-    return CondensedVector(length=bitmap.size, bitmap=bitmap, values=values)
-
-
 def quantized_steps(nnz: int, granularity: int) -> int:
     """Number of instruction-granularity groups needed for ``nnz`` values.
 
@@ -103,19 +76,3 @@ def quantized_steps(nnz: int, granularity: int) -> int:
     if nnz == 0:
         return 0
     return ceil_div(nnz, granularity)
-
-
-def effective_sparsity_level(nnz: int, length: int, granularity: int) -> float:
-    """The sparsity level the hardware can actually exploit.
-
-    Skipping happens at ``granularity`` steps, so a vector of ``length``
-    elements with ``nnz`` non-zeros behaves as if it had
-    ``quantized_steps(nnz, granularity) * granularity`` non-zeros.  The
-    returned value is the corresponding *exploitable* sparsity in [0, 1].
-    This is the quantisation ⟨0%, 25%, 50%, 75%⟩ / ⟨0%, 50%⟩ discussed in
-    Section III-B3.
-    """
-    if length <= 0:
-        raise ShapeError(f"length must be positive, got {length}")
-    used = min(length, quantized_steps(nnz, granularity) * granularity)
-    return 1.0 - used / length

@@ -92,21 +92,3 @@ def merge_partial(
         flat = np.flatnonzero(mask.reshape(-1))
         stats.access_positions.append(flat)
     return stats
-
-
-def merge_sequence(
-    shape: tuple[int, int],
-    partials: list[PartialMatrix],
-    collect_positions: bool = False,
-) -> tuple[np.ndarray, MergeStats]:
-    """Accumulate a sequence of partial matrices from a zero accumulator.
-
-    Convenience wrapper used by tests and by the warp-level SpGEMM when
-    it is asked for a standalone merge trace.
-    """
-    accumulator = np.zeros(shape, dtype=np.float64)
-    total = MergeStats()
-    for partial in partials:
-        step = merge_partial(accumulator, partial, collect_positions)
-        total.merge_with(step)
-    return accumulator, total

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.condense import CondensedVector
-from repro.errors import ShapeError
 from repro.utils.bitops import bitmap_outer
 
 
@@ -84,12 +83,3 @@ def outer_product_step(a: CondensedVector, b: CondensedVector) -> PartialMatrix:
     bitmap = multiply_bitmap(a, b)
     block = multiply_value(a, b)
     return PartialMatrix(bitmap=bitmap, values=block.reshape(-1))
-
-
-def partial_matrix_from_dense(dense: np.ndarray) -> PartialMatrix:
-    """Encode an arbitrary dense partial matrix (used in tests)."""
-    dense = np.asarray(dense)
-    if dense.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {dense.shape}")
-    bitmap = dense != 0
-    return PartialMatrix(bitmap=bitmap, values=dense[bitmap])

@@ -24,7 +24,3 @@ class FormatError(ReproError, ValueError):
 
 class ConfigError(ReproError, ValueError):
     """A hardware or kernel configuration value is invalid."""
-
-
-class SimulationError(ReproError, RuntimeError):
-    """The cycle-level simulator reached an inconsistent state."""

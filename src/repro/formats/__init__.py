@@ -9,38 +9,17 @@ The paper compares three families of encodings (Table I):
   adds a per-tile occupancy bit so empty warp tiles can be skipped as a
   whole (Figure 9).
 
-COO and a thin dense wrapper are provided as interchange formats.
+Each encoding converts from and to a dense array with its own
+``from_dense`` / ``to_dense``.
 """
 
-from repro.formats.dense import DenseMatrix
-from repro.formats.coo import CooMatrix
 from repro.formats.csr import CsrMatrix
 from repro.formats.bitmap import BitmapMatrix
 from repro.formats.hierarchical import TwoLevelBitmapMatrix, BitmapTile
-from repro.formats.conversions import (
-    dense_to_csr,
-    csr_to_dense,
-    dense_to_coo,
-    coo_to_dense,
-    dense_to_bitmap,
-    bitmap_to_dense,
-    csr_to_bitmap,
-    bitmap_to_csr,
-)
 
 __all__ = [
-    "DenseMatrix",
-    "CooMatrix",
     "CsrMatrix",
     "BitmapMatrix",
     "TwoLevelBitmapMatrix",
     "BitmapTile",
-    "dense_to_csr",
-    "csr_to_dense",
-    "dense_to_coo",
-    "coo_to_dense",
-    "dense_to_bitmap",
-    "bitmap_to_dense",
-    "csr_to_bitmap",
-    "bitmap_to_csr",
 ]

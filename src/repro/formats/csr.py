@@ -138,59 +138,6 @@ class CsrMatrix:
             index_bytes=self.index_bytes,
         )
 
-    def matmul_dense(self, dense_b: np.ndarray) -> np.ndarray:
-        """Multiply this CSR matrix by a dense matrix (reference SpMM).
-
-        One gather of the needed B rows and one segmented scatter-add
-        replace the per-row Python loop; the per-element contributions
-        are identical, only the accumulation order differs (exact on
-        integer-valued data, last-bit differences otherwise).
-        """
-        dense_b = check_2d(dense_b, "dense_b")
-        if dense_b.shape[0] != self.shape[1]:
-            raise ShapeError(
-                f"inner dimensions do not match: {self.shape} @ {dense_b.shape}"
-            )
-        out = np.zeros((self.shape[0], dense_b.shape[1]), dtype=np.float64)
-        if self.nnz:
-            contributions = self.values[:, None] * dense_b[self.indices]
-            np.add.at(out, self.row_ids(), contributions)
-        return out
-
-    def matmul_csr(self, other: "CsrMatrix") -> "CsrMatrix":
-        """Multiply two CSR matrices (reference SpGEMM, row-wise product).
-
-        The expanded-triple form of the row-wise product: every stored
-        ``a[i, k]`` is joined with all stored ``b[k, :]`` by gathering
-        B's row segments with ``indptr``-diff + ``np.repeat``, and the
-        resulting (i, j, value) triples are scatter-added in one pass.
-        """
-        if other.shape[0] != self.shape[1]:
-            raise ShapeError(
-                f"inner dimensions do not match: {self.shape} @ {other.shape}"
-            )
-        result = np.zeros((self.shape[0], other.shape[1]), dtype=np.float64)
-        if self.nnz and other.nnz:
-            b_counts = other.row_nnz()
-            # For stored element t of A (row i_t, column k_t), repeat its
-            # (row, value) once per stored element of B's row k_t ...
-            pair_counts = b_counts[self.indices]
-            out_rows = np.repeat(self.row_ids(), pair_counts)
-            a_vals = np.repeat(self.values, pair_counts)
-            # ... and enumerate those B elements: each join segment spans
-            # other.indptr[k_t] : other.indptr[k_t + 1].
-            starts = other.indptr[self.indices]
-            offsets = np.arange(int(pair_counts.sum()), dtype=np.int64)
-            segment_first = np.repeat(
-                np.cumsum(pair_counts) - pair_counts, pair_counts
-            )
-            b_slots = np.repeat(starts, pair_counts) + (offsets - segment_first)
-            out_cols = other.indices[b_slots]
-            np.add.at(
-                result, (out_rows, out_cols), a_vals * other.values[b_slots]
-            )
-        return CsrMatrix.from_dense(result, self.element_bytes)
-
     def footprint_bytes(self) -> int:
         """Bytes for values + indices + indptr, as stored in global memory."""
         return (

@@ -1,21 +1,17 @@
-"""Reduced-fidelity cycle-level model of the modified V100 GPU (Section V).
+"""Reduced-fidelity timing model of the modified V100 GPU (Section V).
 
 The hardware model reproduces the mechanisms the paper's speedups rely
 on rather than a full GPGPU-Sim port:
 
 * :mod:`repro.hw.config` — the V100-class machine description.
-* :mod:`repro.hw.tensor_core` / :mod:`repro.hw.otc` — functional + timing
-  models of the stock inner-product Tensor Core (FEDP) and the proposed
-  outer-product Tensor Core (FEOP).
 * :mod:`repro.hw.accumulation_buffer` / :mod:`repro.hw.operand_collector`
   — the banked accumulation buffer, its dense and sparse access modes and
   the operand collector that hides bank conflicts (Figures 18-20).
-* :mod:`repro.hw.warp` — a warp-level executor that runs the instruction
-  streams produced by :mod:`repro.isa.wmma` and reports cycles.
 * :mod:`repro.hw.memory` / :mod:`repro.hw.gpu` — a roofline memory system
-  and the whole-device timing model used by the kernel cost models.
-* :mod:`repro.hw.sparse_tc` — behavioural models of the A100 2:4 sparse
-  Tensor Core and the vector-wise Sparse Tensor Core baseline [72].
+  and the whole-device timing model (Tensor-Core MAC and OHMMA issue
+  rates) used by the kernel cost models.
+* :mod:`repro.hw.sparse_tc` — the behavioural model of the vector-wise
+  Sparse Tensor Core baseline [72].
 * :mod:`repro.hw.area_model` — the CACTI-style area/power estimation
   behind Table IV.
 """

@@ -1,19 +1,15 @@
-"""Behavioural models of prior sparse Tensor Core designs.
+"""Behavioural model of the single-side sparse Tensor Core baseline.
 
-Two single-side (weight-only) sparse Tensor Cores serve as baselines in
-the evaluation:
+The evaluation's single-side (weight-only) sparse Tensor Core is the
+**vector-wise Sparse Tensor Core** of Zhu et al. [72], which prunes each
+weight vector to a fixed ratio (up to 75%) and uses CSR-like offsets to
+feed the dot-product units.
 
-* the **A100 structured-sparse Tensor Core** (2:4 pruning, 50% weight
-  sparsity), and
-* the **vector-wise Sparse Tensor Core** of Zhu et al. [72], which prunes
-  each weight vector to a fixed ratio (up to 75%) and uses CSR-like
-  offsets to feed the dot-product units.
-
-Both exploit only the statically pruned operand: activation sparsity is
-invisible to them.  Their throughput model is a fixed decode/imbalance
+It exploits only the statically pruned operand: activation sparsity is
+invisible to it.  Its throughput model is a fixed decode/imbalance
 overhead on top of the ideal ``1 / (1 - exploited sparsity)`` speedup,
-calibrated so the vector-wise design reproduces the constant 1.86x GEMM
-speedup over CUTLASS that the paper measures (Figure 21).
+calibrated so the design reproduces the constant 1.86x GEMM speedup over
+CUTLASS that the paper measures (Figure 21).
 """
 
 from __future__ import annotations
@@ -59,20 +55,19 @@ class SingleSideSparseTensorCore:
         return 1.0 / relative
 
 
-def a100_sparse_tensor_core() -> SingleSideSparseTensorCore:
-    """The A100-style 2:4 structured-sparse Tensor Core (50% weight sparsity)."""
-    return SingleSideSparseTensorCore(supported_ratios=(0.5,), decode_overhead=0.10)
-
-
 def vector_wise_sparse_tensor_core() -> SingleSideSparseTensorCore:
     """The vector-wise Sparse Tensor Core of Zhu et al. [72].
 
     Supports vector-wise pruning ratios of 25/50/75%; the decode overhead
-    is calibrated so that a 75%-pruned GEMM runs 1.86x faster than the
-    dense CUTLASS baseline, matching the constant speedup the paper
-    reports in Figure 21.
+    is :data:`repro.kernels.calibration.SPARSE_TC_DECODE_OVERHEAD`,
+    calibrated so that a 75%-pruned GEMM runs 1.86x faster than the dense
+    CUTLASS baseline, matching the constant speedup the paper reports in
+    Figure 21.
     """
-    # 1 / (0.25 + overhead) = 1.86  =>  overhead ~= 0.2876.
+    # Imported here: the repro.kernels package imports this module.
+    from repro.kernels.calibration import SPARSE_TC_DECODE_OVERHEAD
+
     return SingleSideSparseTensorCore(
-        supported_ratios=(0.25, 0.5, 0.75), decode_overhead=0.2876
+        supported_ratios=(0.25, 0.5, 0.75),
+        decode_overhead=SPARSE_TC_DECODE_OVERHEAD,
     )

@@ -10,15 +10,12 @@ warp-level API:
   that compiles to BOHMMA + POPC + predicated OHMMA instructions.
 
 This subpackage provides the instruction encodings, an instruction-stream
-builder, and the macro-op expansions (WMMA, OWMMA, SpWMMA) used by the
-cycle-level hardware model in :mod:`repro.hw`.
+builder, and the macro-op expansions (WMMA, OWMMA, SpWMMA).  Figure 5
+reports the SpWMMA expansion's enabled OHMMA count beside the one the
+warp-level SpGEMM (:mod:`repro.core.spgemm_warp`) counts.
 """
 
-from repro.isa.instructions import (
-    Opcode,
-    Instruction,
-    PredicateRegisterFile,
-)
+from repro.isa.instructions import Opcode, Instruction
 from repro.isa.program import InstructionStream
 from repro.isa.wmma import (
     expand_wmma,
@@ -30,7 +27,6 @@ from repro.isa.wmma import (
 __all__ = [
     "Opcode",
     "Instruction",
-    "PredicateRegisterFile",
     "InstructionStream",
     "expand_wmma",
     "expand_owmma",

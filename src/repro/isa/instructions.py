@@ -1,19 +1,17 @@
 """Machine-level instruction definitions (Figures 14 and 17).
 
-Only the fields the simulator needs are modelled: the opcode, the
-operand register names (for readable disassembly), the optional guard
-predicate, and a free-form ``payload`` carrying the functional operands
-(NumPy slices) when an instruction is meant to be *executed* rather than
-merely counted.
+Only the fields the macro-op expansions need are modelled: the opcode,
+the operand register names (for readable disassembly), the optional
+guard predicate, and a free-form ``payload`` recording what the
+expansion derived for the instruction (a POPC's count, whether an
+OHMMA's guard predicate is true).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Mapping
-
-from repro.errors import SimulationError
+from dataclasses import dataclass
+from typing import Any
 
 
 class Opcode(enum.Enum):
@@ -32,20 +30,6 @@ class Opcode(enum.Enum):
     SPWMMA = "SPWMMA.MMA.SYNC"
 
 
-#: Issue latency in cycles for each opcode (one instruction issued per
-#: cycle per Tensor Core pair; memory instructions are handled by the
-#: memory model, so their issue cost here is the pipeline slot only).
-DEFAULT_ISSUE_CYCLES: Mapping[Opcode, int] = {
-    Opcode.HMMA_884: 2,
-    Opcode.POPC: 1,
-    Opcode.LDG: 1,
-    Opcode.STG: 1,
-    Opcode.OHMMA_8161: 1,
-    Opcode.BOHMMA_32321: 1,
-    Opcode.SPWMMA: 1,
-}
-
-
 @dataclass(frozen=True)
 class Instruction:
     """One machine-level instruction.
@@ -55,8 +39,9 @@ class Instruction:
         destinations: destination register names.
         sources: source register names.
         predicate: guard predicate index, or ``None`` when unconditional.
-        payload: optional functional operands (e.g. the condensed value
-            vectors an OHMMA multiplies) used by the execution model.
+        payload: optional data the expansion derived for the
+            instruction (e.g. ``{"enabled": False}`` on a predicated-off
+            OHMMA).
     """
 
     opcode: Opcode
@@ -74,40 +59,3 @@ class Instruction:
         return f"{guard}{self.opcode.value} " + ", ".join(
             f"{{{p}}}" if "," in p else p for p in parts
         ) + ";"
-
-
-class PredicateRegisterFile:
-    """The per-warp predicate registers that gate OHMMA execution.
-
-    The SpWMMA expansion writes one predicate bit per OHMMA slot based on
-    the POPC of the operand bitmaps (Figure 15); the warp executor then
-    drops instructions whose guard predicate is false.
-    """
-
-    def __init__(self, count: int = 8) -> None:
-        if count <= 0:
-            raise SimulationError("predicate register file needs at least one register")
-        self._bits = [False] * count
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def set(self, index: int, value: bool) -> None:
-        """Write predicate register ``index``."""
-        self._check(index)
-        self._bits[index] = bool(value)
-
-    def get(self, index: int) -> bool:
-        """Read predicate register ``index``."""
-        self._check(index)
-        return self._bits[index]
-
-    def as_tuple(self) -> tuple[bool, ...]:
-        """Snapshot of all predicate bits."""
-        return tuple(self._bits)
-
-    def _check(self, index: int) -> None:
-        if not 0 <= index < len(self._bits):
-            raise SimulationError(
-                f"predicate register p{index} out of range (0..{len(self._bits) - 1})"
-            )

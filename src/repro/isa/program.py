@@ -13,8 +13,7 @@ from repro.isa.instructions import Instruction, Opcode
 class InstructionStream:
     """An ordered list of machine instructions for one warp.
 
-    Produced by the macro-op expansions in :mod:`repro.isa.wmma` and
-    consumed by the warp executor in :mod:`repro.hw.warp`.
+    Produced by the macro-op expansions in :mod:`repro.isa.wmma`.
     """
 
     instructions: list[Instruction] = field(default_factory=list)

@@ -40,7 +40,8 @@ CUSPARSE_NS_PER_PRODUCT = 0.025
 
 #: Weight-only Sparse Tensor Core [72]: constant decode / operand-shuffle
 #: overhead as a fraction of the dense execution time.  Calibrated so a
-#: 75%-pruned GEMM is 1.86x faster than CUTLASS (Figure 21).
+#: 75%-pruned GEMM is 1.86x faster than CUTLASS (Figure 21):
+#: 1 / (0.25 + overhead) = 1.86.
 SPARSE_TC_DECODE_OVERHEAD = 0.2876
 
 #: im2col cost weights (arbitrary units per operation), calibrated
@@ -61,7 +62,3 @@ IM2COL_OUTPUT_MATERIALIZE_COST = 2.0
 
 #: Fixed kernel-launch overhead (cycles) charged per GPU kernel.
 KERNEL_LAUNCH_OVERHEAD_CYCLES = 2000.0
-
-#: Explicit im2col writes the lowered matrix to global memory and the
-#: GEMM reads it back; implicit im2col avoids both transfers.
-EXPLICIT_IM2COL_ROUND_TRIPS = 2.0

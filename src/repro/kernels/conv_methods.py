@@ -20,8 +20,6 @@ Dense GEMM, Single Sparse GEMM [72] and our Dual Sparse GEMM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.im2col_bitmap import BitmapIm2colStats
 from repro.hw.config import GpuConfig
 from repro.hw.gpu import GpuTimingModel, KernelTiming
@@ -66,13 +64,6 @@ class GemmMethod:
 
 #: Evaluation order of the GEMM methods.
 GEMM_METHODS = (GemmMethod.DENSE, GemmMethod.SINGLE_SPARSE, GemmMethod.DUAL_SPARSE)
-
-
-@dataclass(frozen=True)
-class _Im2colOpEstimate:
-    """Analytic operation counts of the implicit bitmap im2col for a layer."""
-
-    stats: BitmapIm2colStats
 
 
 def _bitmap_im2col_stats_for(spec: ConvLayerSpec) -> BitmapIm2colStats:

@@ -16,7 +16,7 @@ import numpy as np
 from repro.hw.config import GpuConfig
 from repro.hw.gpu import GpuTimingModel
 from repro.hw.memory import TrafficBreakdown
-from repro.hw.sparse_tc import SingleSideSparseTensorCore, vector_wise_sparse_tensor_core
+from repro.hw.sparse_tc import vector_wise_sparse_tensor_core
 from repro.kernels import calibration
 from repro.kernels.base import KernelEstimate
 from repro.utils.validation import check_positive, check_probability
@@ -30,13 +30,12 @@ class SparseTensorCoreGemm:
     def __init__(
         self,
         config: GpuConfig | None = None,
-        hardware: SingleSideSparseTensorCore | None = None,
         efficiency: float = calibration.TENSOR_CORE_EFFICIENCY,
         element_bytes: int = 2,
         index_bytes: int = 1,
     ) -> None:
         self.timing_model = GpuTimingModel(config)
-        self.hardware = hardware or vector_wise_sparse_tensor_core()
+        self.hardware = vector_wise_sparse_tensor_core()
         self.efficiency = efficiency
         self.element_bytes = element_bytes
         self.index_bytes = index_bytes

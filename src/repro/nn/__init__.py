@@ -11,7 +11,7 @@ needs no wrapper — :class:`~repro.core.spconv.CompiledConvWeights` and
 :class:`~repro.core.operands.EncodedOperand` encode its weights once.
 """
 
-from repro.nn.activations import relu, measure_activation_sparsity
+from repro.nn.activations import relu
 from repro.nn.functional import (
     FunctionalLayerRun,
     FunctionalModelRun,
@@ -37,7 +37,6 @@ __all__ = [
     "FunctionalModelRun",
     "run_model_functional",
     "relu",
-    "measure_activation_sparsity",
     "ModelEvaluator",
     "LayerResult",
     "ModelResult",

@@ -1,4 +1,4 @@
-"""Activation functions and activation-sparsity measurement."""
+"""Activation functions."""
 
 from __future__ import annotations
 
@@ -8,11 +8,3 @@ import numpy as np
 def relu(x: np.ndarray) -> np.ndarray:
     """Rectified linear unit — the source of natural activation sparsity."""
     return np.maximum(np.asarray(x), 0)
-
-
-def measure_activation_sparsity(activations: np.ndarray) -> float:
-    """Fraction of zero elements in an activation tensor."""
-    activations = np.asarray(activations)
-    if activations.size == 0:
-        return 0.0
-    return 1.0 - float(np.count_nonzero(activations)) / activations.size

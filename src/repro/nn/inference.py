@@ -19,15 +19,13 @@ tile stores no element bitmap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.hw.config import GpuConfig
 from repro.kernels.base import KernelEstimate
 from repro.kernels.conv_methods import (
-    CONV_METHODS,
-    GEMM_METHODS,
     ConvMethod,
     ConvMethodModel,
     GemmMethod,

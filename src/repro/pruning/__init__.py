@@ -25,7 +25,6 @@ from repro.pruning.methods import (
     PRUNING_METHODS,
     PruningMethod,
     get_pruning_method,
-    prune_weights,
 )
 
 __all__ = [
@@ -40,5 +39,4 @@ __all__ = [
     "PRUNING_METHODS",
     "PruningMethod",
     "get_pruning_method",
-    "prune_weights",
 ]

@@ -139,12 +139,3 @@ def get_pruning_method(name: str) -> PruningMethod:
             f"unknown pruning method {name!r}; "
             f"available: {sorted(PRUNING_METHODS)}"
         ) from None
-
-
-def prune_weights(
-    name: "str | None", weights: np.ndarray, sparsity: float, axis: int = -1
-) -> np.ndarray:
-    """Apply the named method, or return ``weights`` unchanged for ``None``."""
-    if name is None:
-        return np.asarray(weights, dtype=np.float64)
-    return get_pruning_method(name).apply(weights, sparsity, axis=axis)

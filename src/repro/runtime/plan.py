@@ -28,10 +28,6 @@ from repro.runtime.executor import ExperimentTask
 PENDING = "pending"
 CACHED = "cached"
 
-#: Terminal statuses the journal/executor attach to entries at run time.
-COMPLETED = "completed"
-QUARANTINED = "quarantined"
-
 
 @dataclass(frozen=True)
 class PlanEntry:

@@ -46,10 +46,8 @@ from repro.serving.core import (
     RETRYABLE_REJECTIONS,
 )
 from repro.serving.protocol import (
-    DRAIN,
     DRAIN_ACK,
     ERROR,
-    HEALTH,
     HEALTH_ACK,
     RESPONSE,
     FrameDecoder,

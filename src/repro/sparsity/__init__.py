@@ -8,40 +8,21 @@ controlled sparsity and controlled distribution so both effects can be
 studied and reproduced.
 """
 
-from repro.sparsity.generators import (
-    random_sparse_matrix,
-    sparsify,
-    relu,
-    activation_like_matrix,
-)
+from repro.sparsity.generators import random_sparse_matrix
 from repro.sparsity.distributions import (
     uniform_mask,
     row_banded_mask,
     blocked_mask,
     clustered_mask,
 )
-from repro.sparsity.statistics import (
-    density,
-    sparsity,
-    row_nnz_histogram,
-    column_nnz_histogram,
-    tile_occupancy,
-    nnz_balance,
-)
+from repro.sparsity.statistics import density, sparsity
 
 __all__ = [
     "random_sparse_matrix",
-    "sparsify",
-    "relu",
-    "activation_like_matrix",
     "uniform_mask",
     "row_banded_mask",
     "blocked_mask",
     "clustered_mask",
     "density",
     "sparsity",
-    "row_nnz_histogram",
-    "column_nnz_histogram",
-    "tile_occupancy",
-    "nnz_balance",
 ]

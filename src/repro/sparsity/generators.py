@@ -1,7 +1,8 @@
-"""Synthetic sparse matrix and activation generators.
+"""Synthetic sparse matrix generator.
 
-All generators take an explicit :class:`numpy.random.Generator` so every
-experiment in :mod:`repro.experiments` is reproducible from a seed.
+:func:`random_sparse_matrix` takes an explicit
+:class:`numpy.random.Generator` so every experiment in
+:mod:`repro.experiments` is reproducible from a seed.
 """
 
 from __future__ import annotations
@@ -51,44 +52,3 @@ def random_sparse_matrix(
         raise ConfigError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
     values = rng.uniform(0.5, 1.5, size=shape).astype(dtype)
     return np.where(mask, values, np.zeros((), dtype=dtype))
-
-
-def sparsify(
-    dense: np.ndarray, sparsity: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Zero out a random ``sparsity`` fraction of the elements of ``dense``."""
-    check_probability(sparsity, "sparsity")
-    mask = rng.random(dense.shape) >= sparsity
-    return np.where(mask, dense, np.zeros((), dtype=dense.dtype))
-
-
-def relu(activations: np.ndarray) -> np.ndarray:
-    """Rectified linear unit — the source of natural activation sparsity."""
-    return np.maximum(activations, 0)
-
-
-def activation_like_matrix(
-    shape: tuple[int, int],
-    sparsity: float,
-    rng: np.random.Generator,
-    dtype: np.dtype = np.float32,
-) -> np.ndarray:
-    """Generate an activation matrix with post-ReLU statistics.
-
-    Values are drawn from a normal distribution whose mean is shifted so
-    that, after ReLU, approximately ``sparsity`` of the elements are zero.
-    Compared to masking a uniform matrix this preserves the heavy-at-zero
-    value distribution of real feature maps.
-    """
-    check_probability(sparsity, "sparsity")
-    from scipy.stats import norm  # local import: scipy only needed here
-
-    # Choose the mean so that P(X <= 0) == sparsity for X ~ N(mean, 1).
-    if sparsity <= 0.0:
-        shift = 6.0
-    elif sparsity >= 1.0:
-        shift = -6.0
-    else:
-        shift = -norm.ppf(sparsity)
-    raw = rng.normal(loc=shift, scale=1.0, size=shape)
-    return relu(raw).astype(dtype)

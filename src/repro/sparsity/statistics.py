@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.tiling import tile_ranges
-from repro.utils.validation import check_2d
-
 
 def density(matrix: np.ndarray) -> float:
     """Fraction of elements that are non-zero."""
@@ -17,50 +14,3 @@ def density(matrix: np.ndarray) -> float:
 def sparsity(matrix: np.ndarray) -> float:
     """Fraction of elements that are zero (1 - density)."""
     return 1.0 - density(matrix)
-
-
-def row_nnz_histogram(matrix: np.ndarray) -> np.ndarray:
-    """Number of non-zero elements per row."""
-    matrix = check_2d(matrix, "matrix")
-    return np.count_nonzero(matrix, axis=1)
-
-
-def column_nnz_histogram(matrix: np.ndarray) -> np.ndarray:
-    """Number of non-zero elements per column."""
-    matrix = check_2d(matrix, "matrix")
-    return np.count_nonzero(matrix, axis=0)
-
-
-def tile_occupancy(
-    matrix: np.ndarray, tile_rows: int, tile_cols: int
-) -> np.ndarray:
-    """Per-tile density for a (tile_rows x tile_cols) tiling.
-
-    Returns an array of shape (n_row_tiles, n_col_tiles) whose entries
-    are the density of the corresponding tile.  A zero entry corresponds
-    to a warp tile that the two-level bitmap would skip entirely.
-    """
-    matrix = check_2d(matrix, "matrix")
-    row_spans = list(tile_ranges(matrix.shape[0], tile_rows))
-    col_spans = list(tile_ranges(matrix.shape[1], tile_cols))
-    out = np.zeros((len(row_spans), len(col_spans)), dtype=np.float64)
-    for ti, (r0, r1) in enumerate(row_spans):
-        for tj, (c0, c1) in enumerate(col_spans):
-            out[ti, tj] = density(matrix[r0:r1, c0:c1])
-    return out
-
-
-def nnz_balance(matrix: np.ndarray, axis: int = 1) -> float:
-    """Coefficient of variation of per-row (axis=1) or per-column nnz.
-
-    0 means every row/column carries the same number of non-zeros
-    (perfectly balanced); larger values mean more imbalance, which is the
-    property that lets warp-level tiling exceed the quantised speedup
-    levels (Figure 6).
-    """
-    matrix = check_2d(matrix, "matrix")
-    counts = np.count_nonzero(matrix, axis=axis).astype(np.float64)
-    mean = counts.mean()
-    if mean == 0:
-        return 0.0
-    return float(counts.std() / mean)

@@ -93,26 +93,6 @@ def prefix_popcount_words(words: np.ndarray) -> np.ndarray:
     return out
 
 
-def unpack_bits(words: np.ndarray, length: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`.
-
-    Args:
-        words: ``uint32`` array produced by :func:`pack_bits`.
-        length: number of valid bits to return.
-
-    Returns:
-        Boolean array of ``length`` elements.
-    """
-    words = np.ascontiguousarray(words, dtype=np.uint32)
-    as_bytes = words.view(np.uint8)
-    bits = np.unpackbits(as_bytes, bitorder="little")
-    if length > bits.size:
-        raise ShapeError(
-            f"requested {length} bits but packed words only hold {bits.size}"
-        )
-    return bits[:length].astype(bool)
-
-
 def popcount(bits: np.ndarray) -> int:
     """Count the set bits of a boolean vector (the ``POPC`` instruction)."""
     return int(np.count_nonzero(np.asarray(bits)))
@@ -145,15 +125,6 @@ def prefix_popcount(bits: np.ndarray) -> np.ndarray:
     if bits.size > 1:
         out[1:] = np.cumsum(bits[:-1])
     return out
-
-
-def bitmap_and(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise AND of two boolean bitmaps (1-bit multiply)."""
-    a = np.asarray(a, dtype=bool)
-    b = np.asarray(b, dtype=bool)
-    if a.shape != b.shape:
-        raise ShapeError(f"bitmap shapes differ: {a.shape} vs {b.shape}")
-    return a & b
 
 
 def bitmap_outer(col_bits: np.ndarray, row_bits: np.ndarray) -> np.ndarray:

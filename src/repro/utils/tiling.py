@@ -20,11 +20,6 @@ def ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
 
 
-def pad_to_multiple(value: int, multiple: int) -> int:
-    """Round ``value`` up to the nearest multiple of ``multiple``."""
-    return ceil_div(value, multiple) * multiple
-
-
 def num_tiles(dim: int, tile: int) -> int:
     """Number of tiles of size ``tile`` needed to cover ``dim`` elements."""
     return ceil_div(dim, tile)

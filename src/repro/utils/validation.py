@@ -32,12 +32,3 @@ def check_probability(value: float, name: str = "value") -> float:
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must be within [0, 1], got {value}")
     return value
-
-
-def check_same_shape(a: np.ndarray, b: np.ndarray, context: str = "operands") -> None:
-    """Raise :class:`ShapeError` unless the two arrays share a shape."""
-    if np.asarray(a).shape != np.asarray(b).shape:
-        raise ShapeError(
-            f"{context} must share a shape, got {np.asarray(a).shape} "
-            f"and {np.asarray(b).shape}"
-        )

@@ -5,22 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.condense import (
-    CondensedVector,
-    condense,
-    condense_from_bitmap,
-    effective_sparsity_level,
-    quantized_steps,
-)
-from repro.core.merge import MergeStats, merge_partial, merge_sequence
+from repro.core.condense import condense, quantized_steps
+from repro.core.merge import MergeStats, merge_partial
 from repro.core.outer_product import (
     PartialMatrix,
     multiply_bitmap,
     multiply_value,
     outer_product_step,
-    partial_matrix_from_dense,
 )
 from repro.errors import ShapeError
+
+
+def _partial(dense):
+    """Bitmap-encode a dense partial matrix (values in row-major order)."""
+    dense = np.asarray(dense)
+    return PartialMatrix(bitmap=dense != 0, values=dense[dense != 0])
 
 
 class TestCondense:
@@ -40,10 +39,6 @@ class TestCondense:
     def test_condense_rejects_2d(self):
         with pytest.raises(ShapeError):
             condense(np.zeros((2, 2)))
-
-    def test_condense_from_bitmap_consistency_check(self):
-        with pytest.raises(ShapeError):
-            condense_from_bitmap(np.array([True, False]), np.array([1.0, 2.0]))
 
     def test_padded_rounds_to_multiple(self):
         condensed = condense(np.array([1.0, 0.0, 2.0, 3.0, 0.0]))
@@ -67,18 +62,23 @@ class TestCondense:
             quantized_steps(-1, 8)
 
     @pytest.mark.parametrize(
-        "nnz,expected", [(0, 1.0), (1, 0.75), (8, 0.75), (9, 0.5), (24, 0.25), (25, 0.0)]
+        "nnz,operand_elements",
+        [(0, 0), (1, 8), (8, 8), (9, 16), (24, 24), (25, 32)],
     )
-    def test_effective_sparsity_levels_a_side(self, nnz, expected):
-        # 32-long vector, 8-element granularity: levels 0/25/50/75%.
-        assert effective_sparsity_level(nnz, 32, 8) == pytest.approx(expected)
+    def test_padded_a_column_fills_whole_ohmma_rows(self, nnz, operand_elements):
+        """A 32-long A column with ``nnz`` non-zeros feeds ceil(nnz/8) 8-row groups."""
+        column = np.zeros(32)
+        column[np.linspace(0, 31, nnz).astype(int)] = 1.0
+        padded = condense(column).padded(8)
+        assert padded.size == operand_elements == 8 * quantized_steps(nnz, 8)
+        assert np.count_nonzero(padded) == nnz
 
-    @given(st.integers(0, 32))
-    @settings(max_examples=40, deadline=None)
-    def test_effective_sparsity_never_exceeds_actual(self, nnz):
-        actual_sparsity = 1.0 - nnz / 32
-        exploitable = effective_sparsity_level(nnz, 32, 8)
-        assert exploitable <= actual_sparsity + 1e-9
+    def test_padding_adds_less_than_one_group(self):
+        for nnz in range(33):
+            column = np.concatenate([np.ones(nnz), np.zeros(32 - nnz)])
+            size = condense(column).padded(8).size
+            assert nnz <= size <= 32
+            assert size - nnz < 8
 
 
 class TestOuterProduct:
@@ -88,6 +88,13 @@ class TestOuterProduct:
         block = multiply_value(a, b)
         assert block.shape == (2, 1)
         assert block[0, 0] == 10.0 and block[1, 0] == 15.0
+
+    def test_multiply_value_is_exact_float64_on_integers(self):
+        a = condense(np.array([3, 0, 7], dtype=np.int32))
+        b = condense(np.array([0, 11, 13], dtype=np.int32))
+        block = multiply_value(a, b)
+        assert block.dtype == np.float64
+        assert block.tolist() == [[33.0, 39.0], [77.0, 91.0]]
 
     def test_multiply_value_with_empty_operand(self):
         a = condense(np.zeros(3))
@@ -109,16 +116,6 @@ class TestOuterProduct:
         assert np.allclose(partial.to_dense(), np.outer(a_vec, b_vec))
         assert partial.nnz == 4
 
-    def test_partial_matrix_from_dense(self):
-        dense = np.array([[0.0, 1.0], [2.0, 0.0]])
-        partial = partial_matrix_from_dense(dense)
-        assert partial.nnz == 2
-        assert np.allclose(partial.to_dense(), dense)
-
-    def test_partial_matrix_from_dense_rejects_1d(self):
-        with pytest.raises(ShapeError):
-            partial_matrix_from_dense(np.zeros(3))
-
     @given(st.integers(0, 2000))
     @settings(max_examples=30, deadline=None)
     def test_outer_step_equals_numpy_outer(self, seed):
@@ -132,7 +129,7 @@ class TestOuterProduct:
 class TestMerge:
     def test_merge_accumulates_in_place(self):
         accumulator = np.ones((2, 2))
-        partial = partial_matrix_from_dense(np.array([[0.0, 2.0], [0.0, 0.0]]))
+        partial = _partial(np.array([[0.0, 2.0], [0.0, 0.0]]))
         stats = merge_partial(accumulator, partial)
         assert accumulator[0, 1] == 3.0
         assert accumulator[0, 0] == 1.0
@@ -140,14 +137,14 @@ class TestMerge:
 
     def test_merge_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            merge_partial(np.zeros((2, 2)), partial_matrix_from_dense(np.zeros((3, 3))))
+            merge_partial(np.zeros((2, 2)), _partial(np.zeros((3, 3))))
 
     def test_merge_empty_partial_is_free(self):
-        stats = merge_partial(np.zeros((4, 4)), partial_matrix_from_dense(np.zeros((4, 4))))
+        stats = merge_partial(np.zeros((4, 4)), _partial(np.zeros((4, 4))))
         assert stats.gathers == 0
 
     def test_merge_collects_positions_when_asked(self):
-        partial = partial_matrix_from_dense(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        partial = _partial(np.array([[1.0, 0.0], [0.0, 1.0]]))
         stats = merge_partial(np.zeros((2, 2)), partial, collect_positions=True)
         assert len(stats.access_positions) == 1
         assert list(stats.access_positions[0]) == [0, 3]
@@ -158,8 +155,11 @@ class TestMerge:
         for _ in range(4):
             dense = np.where(rng.random((6, 5)) < 0.3, rng.uniform(1, 2, (6, 5)), 0.0)
             expected += dense
-            partials.append(partial_matrix_from_dense(dense))
-        accumulated, stats = merge_sequence((6, 5), partials)
+            partials.append(_partial(dense))
+        accumulated = np.zeros((6, 5))
+        stats = MergeStats()
+        for partial in partials:
+            stats.merge_with(merge_partial(accumulated, partial))
         assert np.allclose(accumulated, expected)
         assert stats.accumulations == sum(p.nnz for p in partials)
 

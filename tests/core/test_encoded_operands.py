@@ -26,7 +26,13 @@ from repro.core.engine_blocked import (
     blocked_device_spgemm,
     tile_share,
 )
-from repro.core.operands import EncodedOperand, as_gemm_operand, segment_nnz
+from repro.core.operands import (
+    EncodedOperand,
+    as_gemm_operand,
+    segment_nnz,
+    tile_extents,
+    two_level_footprint_bytes,
+)
 from repro.core.spgemm_device import BACKENDS, device_spgemm
 from repro.core.spgemm_warp import WarpTileConfig
 from repro.errors import ConfigError
@@ -184,6 +190,36 @@ class TestSegmentCounts:
         sums = segment_nnz(counts, 16, axis)
         assert sums.max() == 512
         assert np.array_equal(sums, padded_segment_sums(counts, 16, axis))
+
+
+class TestClosedFormFootprint:
+    @pytest.mark.parametrize(
+        "dim,tile,expected",
+        [(64, 32, [32, 32]), (65, 32, [32, 32, 1]), (31, 32, [31]), (48, 16, [16] * 3), (0, 32, [])],
+    )
+    def test_tile_extents_clip_the_edge_tile(self, dim, tile, expected):
+        assert tile_extents(dim, tile).tolist() == expected
+
+    @pytest.mark.parametrize("tile_shape", [(32, 16), (16, 32), (32, 32), (7, 5)])
+    def test_matches_the_two_level_encoder(self, tile_shape):
+        """The closed form the statistics use equals the footprint of the
+        encoder the reference path instantiates, edge tiles included."""
+        rng = np.random.default_rng(sum(tile_shape))
+        dense = random_sparse_matrix((70, 45), 0.3, rng)
+        dense[:40, :35] = 0.0
+        encoded = TwoLevelBitmapMatrix.from_dense(dense, tile_shape=tile_shape)
+        tile_nnz = np.array(
+            [tile.encoding.nnz if tile.encoding is not None else 0 for tile in encoded.tiles]
+        ).reshape(encoded.warp_bitmap.shape)
+        assert 0 < np.count_nonzero(tile_nnz) < tile_nnz.size
+        closed_form = two_level_footprint_bytes(
+            tile_nnz,
+            tile_extents(70, tile_shape[0]),
+            tile_extents(45, tile_shape[1]),
+            encoded.nnz,
+            element_bytes=2,
+        )
+        assert closed_form == encoded.footprint_bytes()
 
 
 class TestEncodedAdversarial:

@@ -1,4 +1,4 @@
-"""Tests for the four im2col variants (dense, outer-friendly, CSR, bitmap)."""
+"""Tests for the three im2col variants (dense, CSR, bitmap)."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.im2col_bitmap import bitmap_im2col, count_bitmap_im2col_ops
-from repro.core.im2col_csr import count_csr_im2col_ops, csr_im2col
+from repro.core.im2col_csr import count_csr_im2col_ops, csr_im2col, encode_feature_map_csr
 from repro.core.im2col_dense import conv2d_via_im2col, dense_im2col, flatten_weights
-from repro.core.im2col_outer import column_values_per_segment, outer_friendly_im2col
 from repro.core.reference import reference_conv2d
 from repro.errors import ShapeError
 from repro.sparsity.generators import random_sparse_matrix
@@ -63,36 +62,6 @@ class TestDenseIm2col:
             flatten_weights(np.zeros((2, 3)))
 
 
-class TestOuterFriendlyIm2col:
-    def test_same_lowered_matrix_as_dense(self, rng):
-        fm = _feature_map(rng)
-        dense_lowered, _ = dense_im2col(fm, 3, 1, 1)
-        result = outer_friendly_im2col(fm, 3, 1, 1)
-        assert np.allclose(result.lowered, dense_lowered)
-
-    def test_schedule_covers_every_column_once(self, rng):
-        fm = _feature_map(rng)
-        result = outer_friendly_im2col(fm, 3, 1, 1)
-        columns = sorted(descriptor.column for descriptor in result.schedule)
-        assert columns == list(range(result.lowered.shape[1]))
-
-    def test_row_reuse_reduces_reads(self, rng):
-        """Column generation reads each feature-map row once per kernel row."""
-        fm = _feature_map(rng)
-        dense_lowered, dense_stats = dense_im2col(fm, 3, 1, 1)
-        result = outer_friendly_im2col(fm, 3, 1, 1)
-        assert result.stats.element_reads < dense_stats.element_reads
-
-    def test_column_values_per_segment_formula(self):
-        # Paper: B = (R - K + S) / S with R=6, K=3, S=1 gives 4.
-        assert column_values_per_segment(6, 3, 1) == 4
-        assert column_values_per_segment(9, 3, 2) == 4
-
-    def test_column_values_rejects_bad_stride(self):
-        with pytest.raises(ShapeError):
-            column_values_per_segment(6, 3, 0)
-
-
 class TestCsrIm2col:
     def test_matches_dense_lowering(self, rng):
         fm = _feature_map(rng)
@@ -123,6 +92,27 @@ class TestCsrIm2col:
         assert counted.value_reads == functional.value_reads
         assert counted.indptr_reads == functional.indptr_reads
         assert counted.lowered_shape == functional.lowered_shape
+
+    def test_encode_feature_map_one_csr_per_channel(self, rng):
+        fm = _feature_map(rng)
+        encoded = encode_feature_map_csr(fm)
+        assert len(encoded) == fm.shape[0]
+        for channel, csr in zip(fm, encoded):
+            assert np.array_equal(csr.to_dense(), channel)
+
+    @pytest.mark.parametrize(
+        "lower",
+        [
+            encode_feature_map_csr,
+            lambda fm: csr_im2col(fm, 3),
+            lambda fm: count_csr_im2col_ops(fm != 0, 3),
+            lambda fm: count_bitmap_im2col_ops(fm != 0, 3),
+        ],
+        ids=["encode", "csr_im2col", "count_csr", "count_bitmap"],
+    )
+    def test_rejects_2d_feature_map(self, lower):
+        with pytest.raises(ShapeError):
+            lower(np.ones((6, 6)))
 
 
 class TestBitmapIm2col:

@@ -5,10 +5,10 @@ sparsities with Hypothesis:
 
 * every im2col variant produces the lowered matrix a *definitional*
   dense lowering produces (one Python loop per lowered element — an
-  oracle independent of all four implementations), and
+  oracle independent of all three implementations), and
 * ``backend="vectorized"`` matches ``backend="reference"`` exactly for
-  each variant — lowered values bit for bit, encodings, schedules and
-  every statistics field — and the same end to end through
+  each variant — lowered values bit for bit, encodings and every
+  statistics field — and the same end to end through
   :func:`repro.core.spconv.sparse_conv2d`.
 """
 
@@ -23,11 +23,12 @@ from repro.core.im2col_dense import dense_im2col
 from repro.core.im2col_engine import (
     bit_offsets_rows,
     bitmap_lowering,
+    check_im2col_backend,
     lower_windows,
     pad_feature_map,
 )
-from repro.core.im2col_outer import outer_friendly_im2col
 from repro.core.spconv import sparse_conv2d
+from repro.core.spgemm_device import BACKENDS
 from repro.errors import ConfigError
 from repro.sparsity.generators import random_sparse_matrix
 from repro.utils.bitops import prefix_popcount
@@ -87,9 +88,6 @@ class TestDirectLoweringProperty:
         direct = _direct_dense_lowering(fm, kernel, stride, padding)
         dense_lowered, _ = dense_im2col(fm, kernel, stride, padding)
         assert np.array_equal(dense_lowered, direct)
-        assert np.array_equal(
-            outer_friendly_im2col(fm, kernel, stride, padding).lowered, direct
-        )
         csr_lowered, _ = csr_im2col(fm, kernel, stride, padding)
         assert np.array_equal(csr_lowered, direct)
         assert np.array_equal(
@@ -126,7 +124,7 @@ class TestBackendParityProperty:
 
     @given(conv_cases)
     @settings(max_examples=30, deadline=None)
-    def test_dense_and_outer_vectorized_equal_reference(self, case):
+    def test_dense_vectorized_equals_reference(self, case):
         fm, kernel, stride, padding = _feature_map(case)
         ref_lowered, ref_stats = dense_im2col(
             fm, kernel, stride, padding, backend="reference"
@@ -136,13 +134,6 @@ class TestBackendParityProperty:
         )
         assert np.array_equal(ref_lowered, vec_lowered)
         assert ref_stats == vec_stats
-
-        ref = outer_friendly_im2col(fm, kernel, stride, padding, backend="reference")
-        vec = outer_friendly_im2col(fm, kernel, stride, padding, backend="vectorized")
-        assert np.array_equal(ref.lowered, vec.lowered)
-        assert ref.schedule == vec.schedule
-        assert ref.stats == vec.stats
-        assert ref.row_loads == vec.row_loads
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
@@ -219,6 +210,17 @@ class TestEngineInternals:
 class TestBackendValidation:
     def test_unknown_backend_rejected(self, rng):
         fm = random_sparse_matrix((2 * 6, 6), 0.5, rng).reshape(2, 6, 6)
-        for func in (dense_im2col, csr_im2col, bitmap_im2col, outer_friendly_im2col):
+        for func in (dense_im2col, csr_im2col, bitmap_im2col):
             with pytest.raises(ConfigError):
                 func(fm, 3, backend="numpy")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_spgemm_backend_name_accepted(self, rng, backend):
+        """sparse_conv2d threads one backend through both stages, so every
+        SpGEMM backend name must lower the same matrix."""
+        fm = random_sparse_matrix((2 * 6, 6), 0.5, rng).reshape(2, 6, 6)
+        expected, _ = dense_im2col(fm, 3, 1, 1, backend="reference")
+        check_im2col_backend(backend)
+        assert np.array_equal(dense_im2col(fm, 3, 1, 1, backend=backend)[0], expected)
+        assert np.array_equal(csr_im2col(fm, 3, 1, 1, backend=backend)[0], expected)
+        assert np.array_equal(bitmap_im2col(fm, 3, 1, 1, backend=backend).lowered, expected)

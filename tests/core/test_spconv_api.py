@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro import SparseMatrix, sparse_im2col, spconv, spgemm
 from repro.core.reference import conv_output_shape, reference_conv2d, reference_gemm
 from repro.core.spconv import sparse_conv2d
-from repro.errors import ShapeError
+from repro.errors import ConfigError, ShapeError
 from repro.sparsity.generators import random_sparse_matrix
 
 
@@ -38,6 +38,15 @@ class TestReference:
     def test_reference_conv_channel_mismatch(self):
         with pytest.raises(ShapeError):
             reference_conv2d(np.zeros((3, 4, 4)), np.zeros((2, 4, 3, 3)))
+
+    @pytest.mark.parametrize(
+        "fm_shape,w_shape,padding",
+        [((4, 4), (2, 1, 3, 3), 0), ((1, 4, 4), (1, 3, 3), 0), ((1, 2, 2), (1, 1, 5, 5), 1)],
+        ids=["2d-feature-map", "3d-weights", "empty-output"],
+    )
+    def test_reference_conv_rejects_bad_shapes(self, fm_shape, w_shape, padding):
+        with pytest.raises(ShapeError):
+            reference_conv2d(np.zeros(fm_shape), np.zeros(w_shape), padding=padding)
 
 
 class TestSparseConv2d:
@@ -77,6 +86,16 @@ class TestSparseConv2d:
         bad_weights = np.zeros((4, 5, 3, 3))
         with pytest.raises(ShapeError):
             sparse_conv2d(fm, bad_weights)
+
+    def test_unknown_backend_rejected(self, rng):
+        fm, weights = _conv_inputs(rng)
+        with pytest.raises(ConfigError):
+            sparse_conv2d(fm, weights, backend="gpu")
+
+    def test_feature_map_rank_check(self, rng):
+        _, weights = _conv_inputs(rng)
+        with pytest.raises(ShapeError):
+            sparse_conv2d(np.ones((8, 10)), weights)
 
     def test_weight_rank_check(self, rng):
         fm, _ = _conv_inputs(rng)
@@ -145,3 +164,16 @@ class TestPublicApi:
         assert repro.__version__
         for name in ("SparseMatrix", "spgemm", "spconv", "sparse_im2col"):
             assert hasattr(repro, name)
+
+    def test_unknown_package_attribute_raises_attribute_error(self):
+        import repro
+
+        with pytest.raises(AttributeError, match="no attribute 'spgemm_v2'"):
+            repro.spgemm_v2
+
+    def test_dir_lists_every_lazy_export(self):
+        import repro
+
+        listed = dir(repro)
+        assert set(repro.__all__) <= set(listed)
+        assert listed == sorted(listed)

@@ -136,6 +136,18 @@ class TestWarpSpgemmStats:
         assert stats.ohmma_issued == 16 * 1 * 2
         assert stats.instruction_speedup == pytest.approx(4.0)
 
+    def test_speedup_of_an_all_zero_operand_is_the_dense_count(self, make_sparse):
+        """Nothing issued: the ratio falls back to the dense OHMMA count."""
+        _, stats = warp_spgemm(np.zeros((32, 16)), make_sparse((16, 32), 0.5))
+        assert stats.ohmma_issued == 0
+        assert stats.ohmma_dense == 16 * 8
+        assert stats.instruction_speedup == 16 * 8
+
+    def test_speedup_of_an_empty_tile_is_one(self):
+        _, stats = warp_spgemm(np.zeros((32, 0)), np.zeros((0, 32)))
+        assert stats.ohmma_dense == stats.ohmma_issued == 0
+        assert stats.instruction_speedup == 1.0
+
     def test_stats_merge_with(self, make_sparse):
         a_tile = make_sparse((32, 16), 0.4)
         b_tile = make_sparse((16, 32), 0.4)

@@ -51,6 +51,14 @@ class TestConstruction:
                 values=np.array([1.0, 2.0]),
             )
 
+    def test_values_must_be_condensed_1d(self):
+        with pytest.raises(FormatError):
+            BitmapMatrix(
+                shape=(2, 2),
+                bitmap=np.ones((2, 2), dtype=bool),
+                values=np.ones((2, 2)),
+            )
+
     def test_bitmap_shape_must_match(self):
         with pytest.raises(FormatError):
             BitmapMatrix(
@@ -84,6 +92,11 @@ class TestSlices:
         encoded = BitmapMatrix.from_dense(np.eye(3), order="col")
         with pytest.raises(FormatError):
             encoded.row(0)
+
+    def test_row_out_of_range(self):
+        encoded = BitmapMatrix.from_dense(np.eye(3), order="row")
+        with pytest.raises(ShapeError):
+            encoded.row(3)
 
     def test_column_out_of_range(self):
         encoded = BitmapMatrix.from_dense(np.eye(3), order="col")

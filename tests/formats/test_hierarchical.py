@@ -42,6 +42,26 @@ class TestConstruction:
         with pytest.raises(FormatError):
             TwoLevelBitmapMatrix.from_dense(np.zeros((8, 8)), (4, 4), order="bogus")
 
+    def test_warp_bitmap_must_match_tile_grid(self):
+        encoded = TwoLevelBitmapMatrix.from_dense(np.eye(64), (32, 16))
+        with pytest.raises(FormatError):
+            TwoLevelBitmapMatrix(
+                shape=encoded.shape,
+                tile_shape=encoded.tile_shape,
+                warp_bitmap=encoded.warp_bitmap.T,
+                tiles=encoded.tiles,
+            )
+
+    def test_one_tile_per_grid_cell_required(self):
+        encoded = TwoLevelBitmapMatrix.from_dense(np.eye(64), (32, 16))
+        with pytest.raises(FormatError):
+            TwoLevelBitmapMatrix(
+                shape=encoded.shape,
+                tile_shape=encoded.tile_shape,
+                warp_bitmap=encoded.warp_bitmap,
+                tiles=encoded.tiles[:-1],
+            )
+
 
 class TestWarpBitmap:
     def test_warp_bitmap_marks_empty_tiles(self):

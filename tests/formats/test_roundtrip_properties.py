@@ -1,34 +1,20 @@
-"""Property-based round-trip tests for the sparse-format conversions.
+"""Property-based round-trip tests for the sparse formats.
 
 Hypothesis drives randomized (shape, density, pattern) draws — including
-zero-sized, 1×N, N×1 and non-tile-aligned matrices — through every
-conversion chain in :mod:`repro.formats.conversions` and asserts the
-dense round trip is value-exact and structure-preserving.  Runs are
-derandomized so CI is deterministic.
+zero-sized, 1×N, N×1 and non-tile-aligned matrices — through each
+encoding's ``from_dense`` / ``to_dense`` and asserts the dense round trip
+is value-exact and structure-preserving.  Runs are derandomized so CI is
+deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.formats.conversions import (
-    bitmap_to_csr,
-    bitmap_to_dense,
-    bitmap_to_hierarchical,
-    coo_to_csr,
-    coo_to_dense,
-    csr_to_bitmap,
-    csr_to_coo,
-    csr_to_dense,
-    dense_to_bitmap,
-    dense_to_coo,
-    dense_to_csr,
-    dense_to_hierarchical,
-    hierarchical_to_bitmap,
-    hierarchical_to_dense,
-)
+from repro.formats.bitmap import BitmapMatrix
+from repro.formats.csr import CsrMatrix
+from repro.formats.hierarchical import TwoLevelBitmapMatrix
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -64,61 +50,19 @@ class TestDenseRoundTrips:
     @SETTINGS
     @given(dense=dense_matrices())
     def test_csr(self, dense):
-        assert np.array_equal(csr_to_dense(dense_to_csr(dense)), dense)
-
-    @SETTINGS
-    @given(dense=dense_matrices())
-    def test_coo(self, dense):
-        assert np.array_equal(coo_to_dense(dense_to_coo(dense)), dense)
+        assert np.array_equal(CsrMatrix.from_dense(dense).to_dense(), dense)
 
     @SETTINGS
     @given(dense=dense_matrices(), order=st.sampled_from(["col", "row"]))
     def test_bitmap(self, dense, order):
-        assert np.array_equal(
-            bitmap_to_dense(dense_to_bitmap(dense, order=order)), dense
-        )
+        encoded = BitmapMatrix.from_dense(dense, order=order)
+        assert np.array_equal(encoded.to_dense(), dense)
 
     @SETTINGS
     @given(dense=dense_matrices(), tile_shape=tile_shapes())
     def test_hierarchical(self, dense, tile_shape):
-        encoded = dense_to_hierarchical(dense, tile_shape=tile_shape)
-        assert np.array_equal(hierarchical_to_dense(encoded), dense)
-
-
-class TestCrossFormatChains:
-    @SETTINGS
-    @given(dense=dense_matrices())
-    def test_csr_coo_csr(self, dense):
-        csr = dense_to_csr(dense)
-        back = coo_to_csr(csr_to_coo(csr))
-        assert np.array_equal(back.to_dense(), dense)
-        assert back.nnz == csr.nnz
-        assert back.element_bytes == csr.element_bytes
-
-    @SETTINGS
-    @given(dense=dense_matrices(), order=st.sampled_from(["col", "row"]))
-    def test_csr_bitmap_csr(self, dense, order):
-        bitmap = csr_to_bitmap(dense_to_csr(dense), order=order)
-        assert np.array_equal(bitmap_to_csr(bitmap).to_dense(), dense)
-
-    @SETTINGS
-    @given(dense=dense_matrices(), tile_shape=tile_shapes())
-    def test_bitmap_hierarchical_bitmap(self, dense, tile_shape):
-        one_level = dense_to_bitmap(dense)
-        two_level = bitmap_to_hierarchical(one_level, tile_shape=tile_shape)
-        flattened = hierarchical_to_bitmap(two_level)
-        assert np.array_equal(flattened.to_dense(), dense)
-        assert flattened.order == one_level.order
-        assert flattened.element_bytes == one_level.element_bytes
-
-    @SETTINGS
-    @given(dense=dense_matrices(), tile_shape=tile_shapes())
-    def test_full_chain_dense_csr_coo_bitmap_hierarchical(self, dense, tile_shape):
-        """The satellite chain: dense → CSR → COO → bitmap → hierarchical."""
-        coo = csr_to_coo(dense_to_csr(dense))
-        bitmap = dense_to_bitmap(coo.to_dense())
-        two_level = bitmap_to_hierarchical(bitmap, tile_shape=tile_shape)
-        assert np.array_equal(hierarchical_to_dense(two_level), dense)
+        encoded = TwoLevelBitmapMatrix.from_dense(dense, tile_shape=tile_shape)
+        assert np.array_equal(encoded.to_dense(), dense)
 
 
 class TestStructuralInvariants:
@@ -126,21 +70,42 @@ class TestStructuralInvariants:
     @given(dense=dense_matrices(), tile_shape=tile_shapes())
     def test_nnz_preserved_everywhere(self, dense, tile_shape):
         nnz = int(np.count_nonzero(dense))
-        assert dense_to_csr(dense).nnz == nnz
-        assert dense_to_coo(dense).nnz == nnz
-        assert dense_to_bitmap(dense).nnz == nnz
-        assert dense_to_hierarchical(dense, tile_shape=tile_shape).nnz == nnz
+        assert CsrMatrix.from_dense(dense).nnz == nnz
+        assert BitmapMatrix.from_dense(dense).nnz == nnz
+        assert TwoLevelBitmapMatrix.from_dense(dense, tile_shape=tile_shape).nnz == nnz
 
     @SETTINGS
     @given(dense=dense_matrices())
     def test_hierarchical_empty_tiles_not_encoded(self, dense):
-        encoded = dense_to_hierarchical(dense, tile_shape=(8, 8))
+        encoded = TwoLevelBitmapMatrix.from_dense(dense, tile_shape=(8, 8))
         for tile in encoded.tiles:
             assert tile.is_empty == (tile.encoding is None)
 
     def test_zero_matrix_has_no_payload(self):
         dense = np.zeros((64, 48), dtype=np.float32)
-        assert dense_to_csr(dense).nnz == 0
-        assert dense_to_bitmap(dense).nnz == 0
-        encoded = dense_to_hierarchical(dense, tile_shape=(32, 32))
+        assert CsrMatrix.from_dense(dense).nnz == 0
+        assert BitmapMatrix.from_dense(dense).nnz == 0
+        encoded = TwoLevelBitmapMatrix.from_dense(dense, tile_shape=(32, 32))
         assert encoded.occupied_tile_fraction == 0.0
+
+
+class TestCrossFormatValueOrder:
+    """The kept encodings of one matrix store the same values in the order
+    their consumers expect: CSR and the row-major bitmap scan rows, the
+    column-major bitmap (matrix A's layout) scans columns."""
+
+    @SETTINGS
+    @given(dense=dense_matrices())
+    def test_csr_values_are_row_major_bitmap_values(self, dense):
+        csr = CsrMatrix.from_dense(dense)
+        bitmap = BitmapMatrix.from_dense(dense, order="row")
+        assert np.array_equal(csr.values, bitmap.values)
+        assert np.array_equal(csr.indices, np.nonzero(bitmap.bitmap)[1])
+
+    @SETTINGS
+    @given(dense=dense_matrices())
+    def test_csr_transpose_values_are_column_major_bitmap_values(self, dense):
+        transposed = CsrMatrix.from_dense(dense).transpose()
+        bitmap = BitmapMatrix.from_dense(dense, order="col")
+        assert np.array_equal(transposed.values, bitmap.values)
+        assert np.array_equal(transposed.row_nnz(), bitmap.bitmap.sum(axis=0))

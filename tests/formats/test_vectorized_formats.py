@@ -1,12 +1,10 @@
 """Vectorized format helpers vs their original Python-loop oracles.
 
-The CSR helpers (``to_dense`` / ``transpose`` / ``matmul_dense`` /
-``matmul_csr``) and the two-level bitmap encoder were rewritten with
-``indptr``-diff + ``np.repeat`` gathers and blockwise reductions; the
-seed's per-row / per-tile loops live on here as the reference oracles.
-Structure (indices, bitmaps, footprints, cached nnz) must match exactly;
-numeric products match exactly on integer-valued data and to float
-tolerance otherwise (the vectorized scatter-add associates differently).
+The CSR helpers (``to_dense`` / ``transpose``) and the two-level bitmap
+encoder were rewritten with ``indptr``-diff expansions and blockwise
+reductions; the seed's per-row / per-tile loops live on here as the
+reference oracles.  Structure and values (indices, bitmaps, footprints,
+cached nnz) must match exactly.
 """
 
 from __future__ import annotations
@@ -51,26 +49,6 @@ def loop_to_dense(csr: CsrMatrix) -> np.ndarray:
     return out
 
 
-def loop_matmul_dense(csr: CsrMatrix, dense_b: np.ndarray) -> np.ndarray:
-    out = np.zeros((csr.shape[0], dense_b.shape[1]), dtype=np.float64)
-    for i in range(csr.shape[0]):
-        cols, vals = csr.row(i)
-        if cols.size:
-            out[i] = vals @ dense_b[cols]
-    return out
-
-
-def loop_matmul_csr(csr: CsrMatrix, other: CsrMatrix) -> CsrMatrix:
-    result = np.zeros((csr.shape[0], other.shape[1]), dtype=np.float64)
-    for i in range(csr.shape[0]):
-        cols, vals = csr.row(i)
-        for k, a_val in zip(cols, vals):
-            b_cols, b_vals = other.row(int(k))
-            if b_cols.size:
-                result[i, b_cols] += a_val * b_vals
-    return CsrMatrix.from_dense(result, csr.element_bytes)
-
-
 def loop_tile_nnz(mask: np.ndarray, tile_rows: int, tile_cols: int) -> np.ndarray:
     spans_r = list(tile_ranges(mask.shape[0], tile_rows))
     spans_c = list(tile_ranges(mask.shape[1], tile_cols))
@@ -97,40 +75,6 @@ class TestCsrAgainstLoopOracles:
         assert np.array_equal(transposed.indptr, expected.indptr)
         assert np.array_equal(transposed.indices, expected.indices)
         assert np.array_equal(transposed.values, expected.values)
-
-    @SETTINGS
-    @given(integer_dense(), st.integers(0, 2**31 - 1))
-    def test_matmul_dense_exact_on_integers(self, dense, seed):
-        csr = CsrMatrix.from_dense(dense)
-        rng = np.random.default_rng(seed)
-        b = rng.integers(-5, 6, (dense.shape[1], 7)).astype(np.float64)
-        assert np.array_equal(csr.matmul_dense(b), loop_matmul_dense(csr, b))
-
-    @SETTINGS
-    @given(integer_dense())
-    def test_matmul_csr_exact_on_integers(self, dense):
-        rng = np.random.default_rng(dense.shape[0] * 1000 + dense.shape[1])
-        other_dense = np.where(
-            rng.random((dense.shape[1], 11)) < 0.4,
-            rng.integers(-5, 6, (dense.shape[1], 11)),
-            0,
-        ).astype(np.float64)
-        product = CsrMatrix.from_dense(dense).matmul_csr(
-            CsrMatrix.from_dense(other_dense)
-        )
-        expected = loop_matmul_csr(
-            CsrMatrix.from_dense(dense), CsrMatrix.from_dense(other_dense)
-        )
-        assert np.array_equal(product.to_dense(), expected.to_dense())
-        assert np.array_equal(product.indptr, expected.indptr)
-        assert np.array_equal(product.indices, expected.indices)
-
-    def test_matmul_dense_float_tolerance(self):
-        rng = np.random.default_rng(5)
-        dense = np.where(rng.random((23, 17)) < 0.5, rng.uniform(0.5, 1.5, (23, 17)), 0.0)
-        b = rng.uniform(-1.0, 1.0, (17, 9))
-        csr = CsrMatrix.from_dense(dense)
-        assert np.allclose(csr.matmul_dense(b), loop_matmul_dense(csr, b), atol=1e-12)
 
     def test_row_ids_is_indptr_diff_expansion(self):
         dense = np.array([[0.0, 5.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 2.0]])

@@ -1,5 +1,5 @@
-"""Tests for the accumulation buffer, operand collector, memory, warp
-executor, device timing model and the area/power model."""
+"""Tests for the accumulation buffer, operand collector, memory, device
+timing model and the area/power model."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,10 @@ import pytest
 from repro.errors import ConfigError, ShapeError
 from repro.hw.accumulation_buffer import AccumulationBuffer, AccumulationBufferConfig
 from repro.hw.area_model import AreaPowerModel
-from repro.hw.config import GpuConfig
+from repro.hw.config import GPU_PRESETS, GpuConfig, V100_CONFIG
 from repro.hw.gpu import GpuTimingModel
 from repro.hw.memory import MemorySystem, TrafficBreakdown
 from repro.hw.operand_collector import OperandCollector
-from repro.hw.warp import WarpExecutor
-from repro.isa.wmma import expand_spwmma
-from repro.sparsity.generators import random_sparse_matrix
 
 
 class TestOperandCollector:
@@ -82,6 +79,19 @@ class TestAccumulationBuffer:
         with pytest.raises(ShapeError):
             AccumulationBuffer().read_tile(64, 64)
 
+    @pytest.mark.parametrize("field", ["num_banks", "ports"])
+    def test_rejects_non_positive_banks_or_ports(self, field):
+        with pytest.raises(ConfigError):
+            AccumulationBuffer(AccumulationBufferConfig(**{field: 0}))
+
+    def test_accumulate_length_check(self):
+        with pytest.raises(ShapeError):
+            AccumulationBuffer().accumulate(np.array([0, 1]), np.array([1.0]))
+
+    def test_dense_mode_rejects_negative_count(self):
+        with pytest.raises(ShapeError):
+            AccumulationBuffer().dense_mode_cycles(-1)
+
     def test_dense_mode_one_cycle_per_ohmma(self):
         assert AccumulationBuffer().dense_mode_cycles(10) == 10
 
@@ -135,43 +145,19 @@ class TestMemoryAndTiming:
         with pytest.raises(ConfigError):
             model.ohmma_cycles(-5)
 
+    def test_ohmma_cycles_one_per_subcore_per_cycle(self):
+        model = GpuTimingModel()
+        assert model.ohmma_cycles(3200, efficiency=1.0) == pytest.approx(10.0)
+        assert model.ohmma_cycles(3200, efficiency=0.5) == pytest.approx(20.0)
+
+    def test_negative_compute_cycles_rejected(self):
+        with pytest.raises(ConfigError):
+            GpuTimingModel().time_kernel(-1.0, 0.0)
+
     def test_time_us_conversion(self):
         model = GpuTimingModel(GpuConfig(clock_ghz=1.0))
         timing = model.time_kernel(1000.0, 0.0, overhead_cycles=0.0)
         assert timing.time_us == pytest.approx(1.0)
-
-
-class TestWarpExecutor:
-    def test_skipped_ohmma_cost_nothing(self, rng):
-        a_tile = random_sparse_matrix((32, 16), 0.2, rng)
-        b_tile = random_sparse_matrix((16, 32), 0.2, rng)
-        expansion = expand_spwmma(a_tile != 0, b_tile != 0)
-        result = WarpExecutor().run(expansion.stream)
-        assert result.skipped == expansion.ohmma_skipped
-        dense_expansion = expand_spwmma(
-            np.ones((32, 16), dtype=bool), np.ones((16, 32), dtype=bool)
-        )
-        dense_result = WarpExecutor().run(dense_expansion.stream)
-        assert result.issue_cycles < dense_result.issue_cycles
-
-    def test_merge_stalls_only_when_not_hidden(self, rng):
-        expansion = expand_spwmma(np.ones((32, 16), dtype=bool), np.ones((16, 32), dtype=bool))
-        small_batches = [np.arange(16) for _ in range(4)]
-        result = WarpExecutor().run(expansion.stream, merge_access_batches=small_batches)
-        assert result.stall_cycles == 0
-        heavy_batches = [np.zeros(64, dtype=int) for _ in range(200)]
-        stalled = WarpExecutor().run(expansion.stream, merge_access_batches=heavy_batches)
-        assert stalled.stall_cycles > 0
-        assert stalled.total_cycles == stalled.issue_cycles + stalled.stall_cycles
-
-    def test_opcode_histogram(self, rng):
-        a_tile = random_sparse_matrix((32, 16), 0.5, rng)
-        b_tile = random_sparse_matrix((16, 32), 0.5, rng)
-        expansion = expand_spwmma(a_tile != 0, b_tile != 0)
-        result = WarpExecutor().run(expansion.stream)
-        from repro.isa.instructions import Opcode
-
-        assert result.by_opcode[Opcode.OHMMA_8161] == expansion.ohmma_enabled
 
 
 class TestAreaPowerModel:
@@ -208,3 +194,19 @@ class TestAreaPowerModel:
         rows = AreaPowerModel().report().as_rows()
         assert rows[-1]["module"] == "Total overhead on V100"
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("preset", sorted(GPU_PRESETS))
+    def test_components_scale_with_subcore_count(self, preset):
+        """Every added structure is per sub-core, so area and power scale
+        with the sub-core count from the calibrated V100 point."""
+        config = GPU_PRESETS[preset]
+        model = AreaPowerModel(config)
+        assert model.num_subcores == config.num_sms * config.subcores_per_sm
+        assert model.adder_count() == 128 * model.num_subcores
+        ratio = model.num_subcores / AreaPowerModel(V100_CONFIG).num_subcores
+        for scaled, base in zip(
+            model.report().components, AreaPowerModel(V100_CONFIG).report().components
+        ):
+            assert scaled.name == base.name
+            assert scaled.area_mm2 == pytest.approx(base.area_mm2 * ratio)
+            assert scaled.power_w == pytest.approx(base.power_w * ratio)

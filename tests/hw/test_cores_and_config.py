@@ -1,9 +1,8 @@
-"""Tests for the GPU config and the inner/outer-product Tensor Core models."""
+"""Tests for the GPU config and the single-side sparse Tensor Core model."""
 
-import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ShapeError
+from repro.errors import ConfigError
 from repro.hw.config import (
     A100_CONFIG,
     GPU_PRESETS,
@@ -13,9 +12,9 @@ from repro.hw.config import (
     V100_CONFIG,
     get_gpu_config,
 )
-from repro.hw.otc import OuterProductTensorCore, OuterProductTensorCorePair
-from repro.hw.sparse_tc import a100_sparse_tensor_core, vector_wise_sparse_tensor_core
-from repro.hw.tensor_core import InnerProductTensorCore
+from repro.hw.gpu import GpuTimingModel
+from repro.hw.sparse_tc import SingleSideSparseTensorCore, vector_wise_sparse_tensor_core
+from repro.kernels.calibration import SPARSE_TC_DECODE_OVERHEAD
 
 
 class TestGpuConfig:
@@ -83,78 +82,23 @@ class TestGpuPresets:
         with pytest.raises(ConfigError):
             get_gpu_config("v100", {"not_a_field": 1})
 
-
-class TestInnerProductTensorCore:
-    def test_macs_per_cycle(self):
-        assert InnerProductTensorCore().macs_per_cycle == 64
-
-    def test_execute_matches_numpy(self, rng):
-        core = InnerProductTensorCore()
-        a = rng.uniform(size=(4, 4))
-        b = rng.uniform(size=(4, 4))
-        c = rng.uniform(size=(4, 4))
-        assert np.allclose(core.execute(a, b, c), a @ b + c)
-
-    def test_fedp(self):
-        core = InnerProductTensorCore()
-        assert core.fedp([1, 2, 3, 4], [1, 1, 1, 1], 10) == 20
-
-    def test_fedp_shape_check(self):
-        with pytest.raises(ShapeError):
-            InnerProductTensorCore().fedp([1, 2], [1, 2])
-
-    def test_execute_shape_check(self):
-        with pytest.raises(ShapeError):
-            InnerProductTensorCore().execute(np.zeros((4, 5)), np.zeros((5, 4)))
-
-    def test_cycles_for_macs(self):
-        core = InnerProductTensorCore()
-        assert core.cycles_for_macs(0) == 0
-        assert core.cycles_for_macs(64) == 1 + 3
-        assert core.cycles_for_macs(65) == 2 + 3
-
-
-class TestOuterProductTensorCore:
-    def test_same_multiplier_budget_as_inner_product(self):
-        """The OTC keeps the stock Tensor Core's 64 multipliers (Section V-A)."""
-        assert OuterProductTensorCore().macs_per_cycle == InnerProductTensorCore().macs_per_cycle
-
-    def test_execute_matches_numpy_outer(self, rng):
-        core = OuterProductTensorCore()
-        a = rng.uniform(size=8)
-        b = rng.uniform(size=8)
-        assert np.allclose(core.execute(a, b), np.outer(a, b))
-
-    def test_feop(self):
-        core = OuterProductTensorCore()
-        assert np.allclose(core.feop(2.0, np.ones(4)), [2, 2, 2, 2])
-
-    def test_execute_shape_check(self):
-        with pytest.raises(ShapeError):
-            OuterProductTensorCore().execute(np.zeros(4), np.zeros(8))
-
-    def test_pair_ohmma_matches_numpy(self, rng):
-        pair = OuterProductTensorCorePair()
-        a = rng.uniform(size=8)
-        b = rng.uniform(size=16)
-        acc = rng.uniform(size=(8, 16))
-        assert np.allclose(pair.execute_ohmma(a, b, acc), np.outer(a, b) + acc)
-
-    def test_pair_bohmma(self):
-        pair = OuterProductTensorCorePair()
-        a = np.zeros(32, dtype=bool)
-        b = np.zeros(32, dtype=bool)
-        a[3] = b[5] = True
-        out = pair.execute_bohmma(a, b)
-        assert out[3, 5] and out.sum() == 1
-
-    def test_owmma_cycles_match_wmma(self):
-        assert OuterProductTensorCorePair().owmma_cycles(16) == 32
+    @pytest.mark.parametrize("preset", ["v100", "t4", "jetson-xavier"])
+    def test_ohmma_issue_rate_matches_tensor_core_peak(self, preset):
+        """Two 64-MAC Tensor Cores per sub-core retire one 8x16x1 OHMMA per
+        cycle, so a dense GEMM costs the same cycles as outer products."""
+        config = GPU_PRESETS[preset]
+        timing = GpuTimingModel(config)
+        m, n, k = 256, 512, 128
+        dense = timing.dense_tensor_core_cycles(m, n, k, efficiency=1.0)
+        outer = timing.ohmma_cycles(m * n * k / (8 * 16 * 1), efficiency=1.0)
+        assert outer == pytest.approx(dense)
+        assert config.ohmma_slots_per_cycle * 8 * 16 == config.tensor_macs_per_cycle
 
 
 class TestSingleSideSparseTensorCores:
     def test_vector_wise_calibrated_to_paper_speedup(self):
         hardware = vector_wise_sparse_tensor_core()
+        assert hardware.decode_overhead == SPARSE_TC_DECODE_OVERHEAD
         assert hardware.speedup_over_dense(0.75) == pytest.approx(1.86, abs=0.01)
 
     def test_vector_wise_cannot_exceed_75_percent(self):
@@ -167,12 +111,33 @@ class TestSingleSideSparseTensorCores:
         assert hardware.exploited_sparsity(0.2) == 0.0
         assert hardware.speedup_over_dense(0.2) < 1.0
 
-    def test_a100_exploits_only_half(self):
-        hardware = a100_sparse_tensor_core()
-        assert hardware.exploited_sparsity(0.9) == 0.5
-        assert 1.0 < hardware.speedup_over_dense(0.9) <= 2.0
-
     def test_speedup_monotone_in_sparsity(self):
         hardware = vector_wise_sparse_tensor_core()
         speedups = [hardware.speedup_over_dense(s) for s in (0.1, 0.3, 0.6, 0.8)]
         assert speedups == sorted(speedups)
+
+    @pytest.mark.parametrize(
+        "weight_sparsity,exploited",
+        [(0.0, 0.0), (0.2, 0.0), (0.25, 0.25), (0.6, 0.5), (0.75, 0.75), (0.95, 0.75)],
+    )
+    def test_vector_wise_relative_time(self, weight_sparsity, exploited):
+        """Time is the kept fraction of the largest supported ratio plus the
+        fixed decode overhead."""
+        hardware = vector_wise_sparse_tensor_core()
+        assert hardware.exploited_sparsity(weight_sparsity) == exploited
+        assert hardware.relative_time(weight_sparsity) == pytest.approx(
+            1.0 - exploited + SPARSE_TC_DECODE_OVERHEAD
+        )
+        assert hardware.speedup_over_dense(weight_sparsity) == pytest.approx(
+            1.0 / hardware.relative_time(weight_sparsity)
+        )
+
+    def test_non_positive_relative_time_rejected(self):
+        hardware = SingleSideSparseTensorCore(supported_ratios=(0.75,), decode_overhead=-0.25)
+        with pytest.raises(ConfigError):
+            hardware.speedup_over_dense(0.8)
+
+    @pytest.mark.parametrize("weight_sparsity", [-0.1, 1.5])
+    def test_weight_sparsity_must_be_a_probability(self, weight_sparsity):
+        with pytest.raises(ConfigError):
+            vector_wise_sparse_tensor_core().relative_time(weight_sparsity)

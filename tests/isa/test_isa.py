@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.spgemm_warp import WarpTileConfig, warp_spgemm
-from repro.errors import SimulationError
-from repro.isa.instructions import DEFAULT_ISSUE_CYCLES, Instruction, Opcode, PredicateRegisterFile
+from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import InstructionStream
 from repro.isa.wmma import expand_owmma, expand_spwmma, expand_wmma
 from repro.sparsity.generators import random_sparse_matrix
@@ -21,26 +20,9 @@ class TestInstruction:
         instr = Instruction(Opcode.OHMMA_8161, ("R8",), ("R4", "R5"), predicate=3)
         assert instr.render().startswith("@p3 ")
 
-    def test_issue_cycles_defined_for_all_opcodes(self):
-        for opcode in Opcode:
-            assert opcode in DEFAULT_ISSUE_CYCLES
-
-
-class TestPredicateRegisterFile:
-    def test_set_and_get(self):
-        predicates = PredicateRegisterFile(4)
-        predicates.set(2, True)
-        assert predicates.get(2) is True
-        assert predicates.as_tuple() == (False, False, True, False)
-
-    def test_out_of_range(self):
-        predicates = PredicateRegisterFile(4)
-        with pytest.raises(SimulationError):
-            predicates.get(9)
-
-    def test_rejects_empty_file(self):
-        with pytest.raises(SimulationError):
-            PredicateRegisterFile(0)
+    def test_render_braces_multi_register_operands(self):
+        instr = Instruction(Opcode.OHMMA_8161, ("R8",), ("R4", "R5", "R8"))
+        assert instr.render() == "HMMA.OHMMA.8161 R8, {R4, R5, R8};"
 
 
 class TestInstructionStream:
@@ -66,13 +48,15 @@ class TestWmmaExpansions:
         stream = expand_owmma()
         assert stream.count(Opcode.OHMMA_8161) == 32
 
-    def test_owmma_and_wmma_same_cycle_budget(self):
-        """Both warp-level ops take 32 cycles on their respective cores."""
-        wmma_cycles = expand_wmma().count(Opcode.HMMA_884) * DEFAULT_ISSUE_CYCLES[Opcode.HMMA_884]
-        owmma_cycles = (
-            expand_owmma().count(Opcode.OHMMA_8161) * DEFAULT_ISSUE_CYCLES[Opcode.OHMMA_8161]
-        )
-        assert wmma_cycles == owmma_cycles == 32
+    def test_wmma_and_owmma_compute_the_same_16x16x16_product(self):
+        """HMMA.884 is an 8x8x4 step, OHMMA.8161 an 8x16x1 outer product."""
+        inner_macs = expand_wmma().count(Opcode.HMMA_884) * 8 * 8 * 4
+        outer_macs = expand_owmma().count(Opcode.OHMMA_8161) * 8 * 16 * 1
+        assert inner_macs == outer_macs == 16 * 16 * 16
+
+    def test_owmma_reads_every_k_set_once_per_half(self):
+        sources = [instr.sources[0] for instr in expand_owmma()]
+        assert sources == [f"RA{k}.{half}" for k in range(16) for half in range(2)]
 
 
 class TestSpWmmaExpansion:
@@ -112,6 +96,65 @@ class TestSpWmmaExpansion:
         assert all(instr.predicate is not None for instr in ohmma)
         enabled = sum(1 for instr in ohmma if instr.payload["enabled"])
         assert enabled == expansion.ohmma_enabled
+
+    @pytest.mark.parametrize(
+        "nnz_a,nnz_b,enabled",
+        [
+            (1, 1, 1),
+            (8, 16, 1),
+            (9, 16, 2),
+            (20, 11, 3),
+            (20, 32, 6),
+            (24, 17, 6),
+            (25, 32, 8),
+            (32, 1, 4),
+            (1, 32, 2),
+        ],
+    )
+    def test_one_set_enables_quantized_ohmma_groups(self, nnz_a, nnz_b, enabled):
+        """Figure 5: ceil(nnz_a / 8) x ceil(nnz_b / 16) of the 8 OHMMAs run."""
+        a_mask = np.zeros((32, 1), dtype=bool)
+        b_mask = np.zeros((1, 32), dtype=bool)
+        a_mask[:nnz_a, 0] = True
+        b_mask[0, 32 - nnz_b :] = True
+        expansion = expand_spwmma(a_mask, b_mask)
+        assert expansion.ohmma_enabled == enabled
+        assert expansion.ohmma_skipped == 8 - enabled
+        assert expansion.sets_skipped == 0
+        assert expansion.stream.count(Opcode.BOHMMA_32321) == 1
+        _, stats = warp_spgemm(a_mask.astype(float), b_mask.astype(float))
+        assert stats.ohmma_issued == enabled
+
+    @pytest.mark.parametrize("empty_side", ["a", "b"])
+    def test_empty_operand_vector_skips_the_set(self, empty_side):
+        a_mask = np.ones((32, 1), dtype=bool)
+        b_mask = np.ones((1, 32), dtype=bool)
+        (a_mask if empty_side == "a" else b_mask)[:] = False
+        expansion = expand_spwmma(a_mask, b_mask)
+        assert [instr.opcode for instr in expansion.stream] == [Opcode.POPC, Opcode.POPC]
+        assert expansion.sets_skipped == 1
+        assert expansion.ohmma_enabled == 0
+        assert expansion.ohmma_skipped == 8
+
+    def test_set_is_popc_popc_bohmma_then_eight_predicated_ohmma(self):
+        a_mask = np.zeros((32, 1), dtype=bool)
+        b_mask = np.zeros((1, 32), dtype=bool)
+        a_mask[:20, 0] = True
+        b_mask[0, :11] = True
+        stream = list(expand_spwmma(a_mask, b_mask).stream)
+        assert [instr.opcode for instr in stream[:3]] == [
+            Opcode.POPC,
+            Opcode.POPC,
+            Opcode.BOHMMA_32321,
+        ]
+        assert [stream[0].payload, stream[1].payload] == [20, 11]
+        ohmma = stream[3:]
+        assert [instr.opcode for instr in ohmma] == [Opcode.OHMMA_8161] * 8
+        assert [instr.predicate for instr in ohmma] == list(range(8))
+        # Slot = a_group * 2 + b_group: A groups 0-2 with B group 0 run.
+        assert [instr.payload["enabled"] for instr in ohmma] == [
+            True, False, True, False, True, False, False, False,
+        ]
 
     def test_shape_mismatch_rejected(self):
         from repro.errors import ShapeError

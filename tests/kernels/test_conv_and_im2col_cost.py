@@ -4,6 +4,9 @@
 import numpy as np
 import pytest
 
+from repro.core.im2col_bitmap import bitmap_im2col
+from repro.core.im2col_csr import csr_im2col
+from repro.core.im2col_dense import dense_im2col
 from repro.errors import ConfigError, ShapeError
 from repro.kernels.conv_methods import (
     CONV_METHODS,
@@ -59,6 +62,16 @@ class TestLayerSpecs:
         with pytest.raises(ShapeError):
             ConvLayerSpec("bad", 1, 1, 2, 2, 5).output_shape
 
+    def test_conv_element_counts(self, conv_spec):
+        assert conv_spec.feature_map_elements == 8 * 64 * 28 * 28
+        assert conv_spec.weight_elements == 128 * 64 * 3 * 3
+        assert conv_spec.weight_elements == conv_spec.gemm_k * conv_spec.gemm_n
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_conv_spec_rejects_non_positive_stride(self, stride):
+        with pytest.raises(ConfigError):
+            ConvLayerSpec("bad", 1, 1, 8, 8, 3, stride=stride)
+
     def test_gemm_spec_macs(self, gemm_spec):
         assert gemm_spec.macs == 512 * 1024 * 1024
 
@@ -94,6 +107,26 @@ class TestIm2colCostModel:
         small = BitmapIm2colStats(mask_ops=100, shift_ops=200, popc_ops=300)
         large = BitmapIm2colStats(mask_ops=1000, shift_ops=2000, popc_ops=3000)
         assert model.bitmap_decode_cycles(large) > model.bitmap_decode_cycles(small)
+
+    @pytest.mark.parametrize("variant", ["dense", "csr", "bitmap"])
+    def test_cost_dispatches_on_stats_type(self, rng, variant):
+        feature_map = np.where(rng.random((3, 9, 9)) < 0.4, 1.0, 0.0)
+        model = Im2colCostModel()
+        if variant == "dense":
+            _, stats = dense_im2col(feature_map, 3, 1, 1)
+            expected = model.dense_cost(stats)
+        elif variant == "csr":
+            _, stats = csr_im2col(feature_map, 3, 1, 1)
+            expected = model.csr_cost(stats)
+        else:
+            stats = bitmap_im2col(feature_map, 3, 1, 1).stats
+            expected = model.bitmap_cost(stats)
+        assert expected > 0
+        assert model.cost(stats) == expected
+
+    def test_cost_rejects_unknown_stats(self):
+        with pytest.raises(TypeError):
+            Im2colCostModel().cost(object())
 
     def test_sparsity_validation(self, rng):
         spec = ConvLayerSpec("t3", 4, 4, 8, 8, 3, 1, 1)

@@ -5,18 +5,16 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.kernels.conv_methods import ConvMethod, GemmMethod
-from repro.nn.activations import measure_activation_sparsity, relu
+from repro.nn.activations import relu
+from repro.nn.functional import FunctionalModelRun
 from repro.nn.inference import ModelEvaluator
-from repro.nn.models import MODEL_REGISTRY, get_model
+from repro.nn.models import MODEL_REGISTRY, get_benchmark_scale, get_model
+from repro.nn.session import SessionRun
 
 
 class TestActivations:
     def test_relu(self):
         assert np.array_equal(relu(np.array([-2.0, 3.0])), [0.0, 3.0])
-
-    def test_measure_sparsity(self):
-        assert measure_activation_sparsity(np.array([0.0, 1.0, 0.0, 2.0])) == 0.5
-        assert measure_activation_sparsity(np.array([])) == 0.0
 
 
 class TestModelDatabase:
@@ -45,6 +43,11 @@ class TestModelDatabase:
         assert len(model.layers) >= 6
         assert 0.0 <= model.mean_weight_sparsity <= 1.0
         assert 0.0 <= model.mean_activation_sparsity <= 1.0
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_benchmark_scale_is_full_resolution_except_mask_rcnn(self, name):
+        expected = 0.25 if name == "Mask R-CNN" else 1.0
+        assert get_benchmark_scale(name) == get_model(name).benchmark_scale == expected
 
     def test_cnn_models_have_conv_layers_only(self):
         assert get_model("VGG-16").kind == "cnn"
@@ -100,3 +103,14 @@ class TestModelEvaluator:
         result = ModelEvaluator().evaluate(get_model("BERT-base Encoder"))
         summary = result.summary()
         assert summary[GemmMethod.DUAL_SPARSE] > summary[GemmMethod.SINGLE_SPARSE] > 1.0
+
+
+class TestRunAccounting:
+    @pytest.mark.parametrize(
+        "run",
+        [FunctionalModelRun(model="m", layers=()), SessionRun(model="m", images=(), per_image=())],
+        ids=["functional", "session"],
+    )
+    def test_instruction_speedup_of_an_empty_run_is_one(self, run):
+        assert run.ohmma_issued == run.ohmma_dense == 0
+        assert run.instruction_speedup == 1.0

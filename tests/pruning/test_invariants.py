@@ -21,11 +21,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.pruning.masks import apply_mask, magnitude_mask
-from repro.pruning.methods import (
-    PRUNING_METHODS,
-    get_pruning_method,
-    prune_weights,
-)
+from repro.pruning.methods import PRUNING_METHODS, get_pruning_method
 from repro.pruning.structured_24 import prune_2_4
 from repro.pruning.vector_wise import vector_wise_prune
 
@@ -133,12 +129,6 @@ class TestRegistry:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             get_pruning_method("lottery-ticket")
-
-    def test_none_passes_weights_through(self):
-        weights = np.arange(12, dtype=np.float32).reshape(3, 4)
-        out = prune_weights(None, weights, 0.5)
-        assert out.dtype == np.float64
-        assert np.array_equal(out, weights)
 
     def test_every_method_reachable_by_name(self):
         for name, method in PRUNING_METHODS.items():

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, ShapeError
+from repro.formats.hierarchical import TwoLevelBitmapMatrix
 from repro.pruning.agp import agp_prune, agp_target_sparsity
 from repro.pruning.masks import apply_mask, magnitude_mask, mask_sparsity
 from repro.pruning.movement import block_movement_prune
 from repro.pruning.structured_24 import prune_2_4
 from repro.pruning.vector_wise import vector_wise_prune
-from repro.sparsity.statistics import sparsity, tile_occupancy
+from repro.sparsity.statistics import sparsity
 
 
 class TestMasks:
@@ -108,6 +109,10 @@ class TestVectorWise:
         with pytest.raises(ShapeError):
             vector_wise_prune(np.zeros((4, 30)), 0.5, vector_length=32)
 
+    def test_rejects_non_2d_weights(self):
+        with pytest.raises(ShapeError):
+            vector_wise_prune(np.zeros(64), 0.5, vector_length=32)
+
     def test_rejects_bad_vector_length(self):
         with pytest.raises(ConfigError):
             vector_wise_prune(np.zeros((4, 32)), 0.5, vector_length=0)
@@ -123,16 +128,21 @@ class TestBlockMovement:
         """The clustered pattern the two-level bitmap exploits (Section VI-D)."""
         weights = rng.uniform(0.5, 1.5, size=(256, 256))
         pruned = block_movement_prune(weights, 0.9, block=32)
-        occupancy = tile_occupancy(pruned, 32, 32)
-        assert (occupancy == 0.0).mean() > 0.7
+        # The warp bit the engines skip on: False marks an empty warp tile.
+        warp_bitmap = TwoLevelBitmapMatrix.from_dense(
+            pruned, tile_shape=(32, 32)
+        ).warp_bitmap
+        assert (~warp_bitmap).mean() > 0.7
 
     def test_uniform_pruning_does_not_empty_tiles(self, rng):
         """Contrast: unstructured pruning at the same ratio leaves no empty tile."""
         weights = rng.uniform(0.5, 1.5, size=(256, 256))
         mask = rng.random(weights.shape) >= 0.9
         unstructured = np.where(mask, weights, 0.0)
-        occupancy = tile_occupancy(unstructured, 32, 32)
-        assert (occupancy == 0.0).mean() < 0.05
+        warp_bitmap = TwoLevelBitmapMatrix.from_dense(
+            unstructured, tile_shape=(32, 32)
+        ).warp_bitmap
+        assert (~warp_bitmap).mean() < 0.05
 
     def test_removes_lowest_norm_blocks_first(self, rng):
         weights = rng.uniform(0.5, 1.5, size=(64, 64))

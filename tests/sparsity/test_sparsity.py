@@ -12,20 +12,8 @@ from repro.sparsity.distributions import (
     row_banded_mask,
     uniform_mask,
 )
-from repro.sparsity.generators import (
-    activation_like_matrix,
-    random_sparse_matrix,
-    relu,
-    sparsify,
-)
-from repro.sparsity.statistics import (
-    column_nnz_histogram,
-    density,
-    nnz_balance,
-    row_nnz_histogram,
-    sparsity,
-    tile_occupancy,
-)
+from repro.sparsity.generators import random_sparse_matrix
+from repro.sparsity.statistics import density, sparsity
 
 
 class TestGenerators:
@@ -51,20 +39,6 @@ class TestGenerators:
         nonzeros = matrix[matrix != 0]
         assert np.all(nonzeros >= 0.5)
 
-    def test_sparsify_reduces_density(self, rng):
-        dense = np.ones((100, 100))
-        sparse = sparsify(dense, 0.7, rng)
-        assert density(sparse) == pytest.approx(0.3, abs=0.05)
-
-    def test_relu_zeroes_negatives(self):
-        assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-
-    @pytest.mark.parametrize("target", [0.1, 0.5, 0.9])
-    def test_activation_like_matrix_sparsity(self, rng, target):
-        matrix = activation_like_matrix((300, 300), target, rng)
-        assert sparsity(matrix) == pytest.approx(target, abs=0.03)
-        assert np.all(matrix >= 0)
-
     @given(st.floats(0.05, 0.95), st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
     def test_uniform_density_property(self, target, seed):
@@ -80,14 +54,18 @@ class TestDistributions:
 
     def test_blocked_mask_has_empty_tiles(self, rng):
         mask = blocked_mask((128, 128), 0.5, rng, block=32)
-        occupancy = tile_occupancy(mask.astype(float), 32, 32)
-        assert np.any(occupancy == 0.0)
-        assert np.any(occupancy == 1.0)
+        tile_density = mask.reshape(4, 32, 4, 32).mean(axis=(1, 3))
+        assert np.any(tile_density == 0.0)
+        assert np.any(tile_density == 1.0)
 
     def test_row_banded_mask_is_imbalanced(self, rng):
+        def row_nnz_variation(mask):
+            counts = mask.sum(axis=1)
+            return counts.std() / counts.mean()
+
         mask = row_banded_mask((128, 128), 0.4, rng, imbalance=0.8)
-        assert nnz_balance(mask.astype(float), axis=1) > nnz_balance(
-            uniform_mask((128, 128), 0.4, rng).astype(float), axis=1
+        assert row_nnz_variation(mask) > row_nnz_variation(
+            uniform_mask((128, 128), 0.4, rng)
         )
 
     def test_clustered_mask_density(self, rng):
@@ -103,29 +81,6 @@ class TestStatistics:
     def test_density_and_sparsity_sum_to_one(self, make_sparse):
         matrix = make_sparse((40, 40), 0.3)
         assert density(matrix) + sparsity(matrix) == pytest.approx(1.0)
-
-    def test_row_histogram(self):
-        matrix = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
-        assert list(row_nnz_histogram(matrix)) == [2, 0]
-
-    def test_column_histogram(self):
-        matrix = np.array([[1.0, 0.0], [1.0, 0.0]])
-        assert list(column_nnz_histogram(matrix)) == [2, 0]
-
-    def test_tile_occupancy_shape(self, make_sparse):
-        matrix = make_sparse((64, 48), 0.2)
-        occupancy = tile_occupancy(matrix, 32, 16)
-        assert occupancy.shape == (2, 3)
-        assert np.all((occupancy >= 0) & (occupancy <= 1))
-
-    def test_nnz_balance_zero_for_uniform_rows(self):
-        matrix = np.ones((8, 8))
-        assert nnz_balance(matrix) == 0.0
-
-    def test_nnz_balance_positive_for_imbalanced(self):
-        matrix = np.zeros((4, 8))
-        matrix[0, :] = 1.0
-        assert nnz_balance(matrix) > 1.0
 
     def test_empty_matrix_density(self):
         assert density(np.zeros((0, 4))) == 0.0

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.utils.tiling import ceil_div, num_tiles, pad_to_multiple, tile_ranges
+from repro.utils.tiling import ceil_div, num_tiles, tile_ranges
 
 
 class TestCeilDiv:
@@ -26,22 +26,6 @@ class TestCeilDiv:
     @settings(max_examples=100, deadline=None)
     def test_matches_math_ceil(self, numerator, denominator):
         assert ceil_div(numerator, denominator) == -(-numerator // denominator)
-
-
-class TestPadToMultiple:
-    def test_already_aligned(self):
-        assert pad_to_multiple(64, 32) == 64
-
-    def test_pads_up(self):
-        assert pad_to_multiple(65, 32) == 96
-
-    @given(st.integers(0, 5000), st.integers(1, 128))
-    @settings(max_examples=100, deadline=None)
-    def test_result_is_multiple_and_not_smaller(self, value, multiple):
-        padded = pad_to_multiple(value, multiple)
-        assert padded % multiple == 0
-        assert padded >= value
-        assert padded - value < multiple
 
 
 class TestTileRanges:

@@ -8,7 +8,6 @@ from repro.utils.validation import (
     check_2d,
     check_positive,
     check_probability,
-    check_same_shape,
 )
 
 
@@ -48,12 +47,3 @@ class TestCheckProbability:
     def test_rejects_out_of_range(self, value):
         with pytest.raises(ConfigError):
             check_probability(value)
-
-
-class TestCheckSameShape:
-    def test_accepts_equal_shapes(self):
-        check_same_shape(np.zeros((2, 3)), np.ones((2, 3)))
-
-    def test_rejects_different_shapes(self):
-        with pytest.raises(ShapeError, match="operands"):
-            check_same_shape(np.zeros((2, 3)), np.zeros((3, 2)))
