@@ -1,11 +1,11 @@
-"""Blocked-engine speedups: K-panel path and warp-tile path.
+"""Blocked-engine speedups: whole-matrix path and warp-tile path.
 
-The K-panel gate times the blocked engine against the per-step
+The whole-matrix gate times the blocked engine against the per-step
 vectorized engine on Figure 21-sized SpGEMMs (1024^3 and 2048^3 at
 (0.7, 0.7) sparsity) and on a full-resolution (``scale=1.0``) functional
 ResNet-18 run, and asserts the >= 5x advantage at 2048^3 with
 bit-identical statistics and exact numeric output (the operands are
-integer-valued, so the panel re-association is exact).
+integer-valued, so the chunk re-association is exact).
 
 The calibration gate is the measurement behind ``backend="auto"``
 resolving to the blocked engine at every shape: it times both engines,
@@ -56,7 +56,7 @@ def _timed(func):
 
 
 def _integer_operands(size: int, seed: int):
-    """Integer-valued sparse operands: panel re-association is exact,
+    """Integer-valued sparse operands: chunk re-association is exact,
     so the speedup gate can also assert bit-equality of the outputs."""
     rng = np.random.default_rng(seed)
     a = np.where(

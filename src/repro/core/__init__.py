@@ -12,8 +12,9 @@ Modules:
 * :mod:`repro.core.spgemm_device` — device-level tiled SpGEMM using the
   two-level bitmap (Figures 8 and 9).
 * :mod:`repro.core.engine` / :mod:`repro.core.engine_blocked` — the
-  bit-exact vectorized engine and the K-panel blocked engine, which the
-  default ``backend="auto"`` runs at every shape.
+  bit-exact vectorized engine and the blocked engine (BLAS matmuls of
+  at most 256 live steps), which the default ``backend="auto"`` runs at
+  every shape.
 * :mod:`repro.core.operands` — pre-encoded GEMM operands (encode once,
   multiply many times) shared by every functional engine, and
   ``device_stats_from_operands``, the one instruction and traffic

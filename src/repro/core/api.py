@@ -12,8 +12,8 @@ These are the entry points a downstream user is expected to call:
 * :func:`spconv` — dual-side sparse convolution.
 
 All functional entry points accept ``backend="auto"`` (the default —
-the K-panel blocked engine of :mod:`repro.core.engine_blocked`, at
-every shape), ``backend="blocked"`` / ``backend="vectorized"`` (the
+the blocked engine of :mod:`repro.core.engine_blocked`, at every
+shape), ``backend="blocked"`` / ``backend="vectorized"`` (the
 per-step engine of :mod:`repro.core.engine`) to pin one engine, or ``backend="reference"``
 (the original per-warp-tile Python loop, kept as a cross-check
 oracle).  All backends produce identical statistics; numerics are

@@ -16,10 +16,10 @@ caches for the lifetime of a serving session.  Operands may therefore
 arrive either dense or pre-encoded; the engine computes identical
 results (and statistics) in both cases.
 
-For Figure 21/22-sized shapes the K-panel blocked engine
+For Figure 21/22-sized shapes the blocked engine
 (:mod:`repro.core.engine_blocked`) replaces the per-step rank-1 loop
-with one BLAS matmul per K-panel; its statistics come from the same
-function.
+with BLAS matmuls over the live steps, at most 256 per matmul; its
+statistics come from the same function.
 
 The engine is cross-checked against the reference loop (kept behind
 ``backend="reference"``) in ``tests/core/test_engine.py``: numeric output

@@ -4,8 +4,8 @@ The paper's premise (Section IV) is that the bitmap encoding of a matrix
 is produced *once* and amortised across execution — pruned weights are
 static for the lifetime of a model, yet the functional pipeline
 historically re-derived every per-operand quantity (non-zero masks,
-per-segment reductions, two-level encodings, float64 views, K-panel
-gathers) inside every ``device_spgemm`` call.
+per-segment reductions, two-level encodings, float64 views) inside
+every ``device_spgemm`` call.
 
 :class:`EncodedOperand` is the session-lifetime carrier of all of that
 per-side state.  Each cached quantity is exactly the reduction the
@@ -22,9 +22,6 @@ bit-identical whether an operand arrives dense or pre-encoded
   path its per-row-tile step lists.
 * :meth:`EncodedOperand.two_level` — the hierarchical bitmap the
   reference backend walks (skipping its per-call ``from_dense``).
-* :meth:`EncodedOperand.panels` — condensed K-panel blocks for the
-  blocked engine's K-panel path (the static side of every panel
-  matmul, gathered once).
 * :attr:`EncodedOperand.dense64` / :attr:`EncodedOperand.k_nnz` /
   :attr:`EncodedOperand.all_finite` — the numeric-path ingredients.
 
@@ -32,9 +29,9 @@ bit-identical whether an operand arrives dense or pre-encoded
 :func:`device_stats_from_operands` accept an :class:`EncodedOperand`, a
 :class:`~repro.formats.hierarchical.TwoLevelBitmapMatrix`, a
 :class:`~repro.core.api.SparseMatrix` or a plain ndarray for either
-side; :func:`as_gemm_operand` normalises them.  Operands wrapped from a
-persistent encoding object keep their caches attached to that object, so
-repeated calls with the same encoding pay the reductions only once.
+side; :func:`as_gemm_operand` normalises them.  Operands wrapped from an
+encoding object keep their caches attached to that object, so repeated
+calls with the same encoding pay the reductions only once.
 """
 
 from __future__ import annotations
@@ -210,24 +207,6 @@ def _build_summary(
     )
 
 
-@dataclass(frozen=True)
-class CondensedPanels:
-    """Condensed K-panel blocks of one (typically static) operand.
-
-    For every K-panel of the blocked engine this stores the *candidate*
-    reduction steps — those where this operand holds at least one
-    non-zero — and the float64 gather of the corresponding columns (side
-    A) or rows (side B).  At multiply time the surviving steps of a
-    panel are always a subset of its candidates, so the panel operand is
-    either the stored block itself or a gather from it, never a fresh
-    walk over the full dense matrix.
-    """
-
-    panel: int
-    candidates: tuple[np.ndarray, ...]
-    blocks: tuple[np.ndarray, ...]
-
-
 class EncodedOperand:
     """One GEMM operand plus every cached per-side derivation.
 
@@ -237,39 +216,29 @@ class EncodedOperand:
             invalidates the caches silently.
         side: ``"a"`` (left operand, K along columns) or ``"b"`` (right
             operand, K along rows).
-        persistent: whether the operand outlives a single call.  The
-            blocked engine's K-panel path only builds K-panel caches on
-            persistent operands; throwaway wrappers of plain ndarrays
-            use the direct gather path instead.
     """
 
     __slots__ = (
         "dense",
         "side",
-        "persistent",
         "_dense64",
         "_k_nnz",
         "_finite",
         "_summaries",
         "_two_levels",
-        "_panels",
         "_source_encoding",
     )
 
-    def __init__(
-        self, dense: np.ndarray, side: str, persistent: bool = True
-    ) -> None:
+    def __init__(self, dense: np.ndarray, side: str) -> None:
         if side not in SIDES:
             raise ConfigError(f"unknown operand side {side!r}; expected 'a' or 'b'")
         self.dense = check_2d(dense, f"operand {side}")
         self.side = side
-        self.persistent = persistent
         self._dense64: "np.ndarray | None" = None
         self._k_nnz: "np.ndarray | None" = None
         self._finite: "bool | None" = None
         self._summaries: dict = {}
         self._two_levels: dict = {}
-        self._panels: dict = {}
         self._source_encoding = None
 
     # ------------------------------------------------------------------ #
@@ -413,59 +382,12 @@ class EncodedOperand:
             self._two_levels[key] = encoded
         return encoded
 
-    def panels(self, panel: int) -> "CondensedPanels | None":
-        """Condensed K-panel blocks for the blocked engine.
-
-        Built (and cached) only on persistent operands — for a
-        throwaway wrapper the one-shot gather inside the engine is
-        exactly as cheap.  ``panel`` is the number of reduction steps
-        per K-panel.  A panel whose candidates cover every step stores a
-        contiguous *view* of the float64 operand, not a copy — exactly
-        the operand the uncached engine path would hand to BLAS, so
-        cached and uncached runs feed byte-identical panel arrays to the
-        matmul (and fully-dense operands cost no extra memory).
-        """
-        if not self.persistent:
-            return None
-        cached = self._panels.get(panel)
-        if cached is None:
-            k_dim = self.shape[1] if self.side == "a" else self.shape[0]
-            activity = self.k_activity
-            dense64 = self.dense64
-            candidates = []
-            blocks = []
-            for k0 in range(0, k_dim, panel):
-                k1 = min(k0 + panel, k_dim)
-                cand = k0 + np.flatnonzero(activity[k0:k1])
-                candidates.append(cand)
-                if cand.size == k1 - k0:
-                    block = (
-                        dense64[:, k0:k1]
-                        if self.side == "a"
-                        else dense64[k0:k1, :]
-                    )
-                elif self.side == "a":
-                    block = dense64[:, cand]
-                else:
-                    block = dense64[cand, :]
-                blocks.append(block)
-            cached = CondensedPanels(
-                panel=panel, candidates=tuple(candidates), blocks=tuple(blocks)
-            )
-            self._panels[panel] = cached
-        return cached
-
     def warm(
-        self,
-        config: WarpTileConfig,
-        element_bytes: int = 2,
-        panel: "int | None" = None,
+        self, config: WarpTileConfig, element_bytes: int = 2
     ) -> "EncodedOperand":
         """Eagerly populate the caches a serving session will hit."""
         self.summary(config, element_bytes)
         _ = self.dense64, self.k_nnz, self.all_finite
-        if panel is not None:
-            self.panels(panel)
         return self
 
 
@@ -481,13 +403,13 @@ def as_gemm_operand(operand, side: str, name: str = "operand") -> EncodedOperand
       serves the reference backend when its geometry matches,
     * :class:`~repro.core.api.SparseMatrix` (any object with ``dense``
       and ``encoding`` attributes) — wrapped and attached likewise,
-    * a plain 2-D ndarray — wrapped fresh (non-persistent).
+    * a plain 2-D ndarray — wrapped fresh.
 
     Attached wrappers live as long as the encoding object does and keep
-    whatever caches their use populated (float64 view, summaries,
-    partial-panel gathers) — that *is* the encode-once amortisation, but
-    it means a retained encoding can hold a few times its matrix bytes;
-    drop the encoding object to release everything.
+    whatever caches their use populated (float64 view, summaries) — that
+    *is* the encode-once amortisation, but it means a retained encoding
+    can hold a few times its matrix bytes; drop the encoding object to
+    release everything.
     """
     if isinstance(operand, EncodedOperand):
         if operand.side != side:
@@ -497,7 +419,7 @@ def as_gemm_operand(operand, side: str, name: str = "operand") -> EncodedOperand
             )
         return operand
     if isinstance(operand, np.ndarray):
-        return EncodedOperand(operand, side, persistent=False)
+        return EncodedOperand(operand, side)
 
     attr = f"_gemm_operand_{side}"
     cached = getattr(operand, attr, None)
@@ -516,7 +438,7 @@ def as_gemm_operand(operand, side: str, name: str = "operand") -> EncodedOperand
         object.__setattr__(operand, attr, wrapped)
         return wrapped
     # Anything array-like falls through to the ndarray wrapper.
-    return EncodedOperand(np.asarray(operand), side, persistent=False)
+    return EncodedOperand(np.asarray(operand), side)
 
 
 def device_stats_from_operands(

@@ -63,8 +63,8 @@ class CompiledConvWeights:
     Pruned weights are static for the lifetime of a model, yet
     :func:`sparse_conv2d` historically re-flattened and re-encoded them
     on every call.  Compiling them captures the flattened GEMM operand
-    as a persistent :class:`~repro.core.operands.EncodedOperand` (plus
-    the geometry and sparsity the pipeline reports), so repeated
+    as an :class:`~repro.core.operands.EncodedOperand` (plus the
+    geometry and sparsity the pipeline reports), so repeated
     convolutions — one per served image — skip all weight-side work.
     Results are bit-identical to passing the dense weights.
 
@@ -79,24 +79,15 @@ class CompiledConvWeights:
     weight_sparsity: float
 
     @classmethod
-    def from_dense(
-        cls, weights: np.ndarray, persistent: bool = True
-    ) -> "CompiledConvWeights":
-        """Flatten and encode dense (N, C, K, K) convolution weights.
-
-        ``persistent=False`` marks the operand as throwaway: the blocked
-        engine then skips building session-lifetime K-panel caches —
-        the right choice when the weights serve a single call.
-        """
+    def from_dense(cls, weights: np.ndarray) -> "CompiledConvWeights":
+        """Flatten and encode dense (N, C, K, K) convolution weights."""
         weights = np.asarray(weights)
         if weights.ndim != 4:
             raise ShapeError(f"weights must be (N, C, K, K), got {weights.shape}")
         n_filters = weights.shape[0]
         return cls(
             shape=weights.shape,
-            operand=EncodedOperand(
-                flatten_weights(weights), "b", persistent=persistent
-            ),
+            operand=EncodedOperand(flatten_weights(weights), "b"),
             weight_sparsity=sparsity_of(weights.reshape(n_filters, -1)),
         )
 
@@ -153,9 +144,7 @@ def sparse_conv2d(
         )
     feature_map = np.asarray(feature_map)
     if not isinstance(weights, CompiledConvWeights):
-        # Dense weights serve this one call only: a throwaway operand
-        # keeps the engines on their zero-copy one-shot paths.
-        weights = CompiledConvWeights.from_dense(weights, persistent=False)
+        weights = CompiledConvWeights.from_dense(weights)
     if feature_map.ndim != 3:
         raise ShapeError(f"feature_map must be (C, H, W), got {feature_map.shape}")
     if weights.in_channels != feature_map.shape[0]:

@@ -10,9 +10,10 @@ empty is skipped without issuing a single instruction.
 Three execution paths are provided, all behind :func:`device_spgemm`'s
 ``backend=``:
 
-* ``"blocked"`` — the K-panel blocked engine of
-  :mod:`repro.core.engine_blocked`: one BLAS matmul per K-panel, or per
-  non-empty row tile of a block-pruned A.
+* ``"blocked"`` — the blocked engine of
+  :mod:`repro.core.engine_blocked`: BLAS matmuls of at most 256 live
+  reduction steps over the whole matrix, or per non-empty row tile of a
+  block-pruned A.
 * ``"vectorized"`` — the NumPy per-step engine of
   :mod:`repro.core.engine`: numeric output and statistics bit-identical
   to the reference loop.

@@ -57,6 +57,17 @@ class WarpTileConfig:
         )
 
 
+def ohmma_speedup(ohmma_dense: int, ohmma_issued: int) -> float:
+    """Dense / issued OHMMA ratio: the one speedup rule of every run.
+
+    When nothing was issued it is the dense count (every instruction
+    skipped), or 1.0 when a dense run would issue none either.
+    """
+    if ohmma_issued == 0:
+        return float(ohmma_dense) if ohmma_dense else 1.0
+    return ohmma_dense / ohmma_issued
+
+
 @dataclass
 class WarpStats:
     """Instruction and operation counts of one (or more) warp tiles.
@@ -93,9 +104,7 @@ class WarpStats:
         execution issues ``ohmma_dense`` instructions while the sparse
         execution issues ``ohmma_issued``.
         """
-        if self.ohmma_issued == 0:
-            return float(self.ohmma_dense) if self.ohmma_dense else 1.0
-        return self.ohmma_dense / self.ohmma_issued
+        return ohmma_speedup(self.ohmma_dense, self.ohmma_issued)
 
     def merge_with(self, other: "WarpStats") -> None:
         """Fold another stats object into this one."""

@@ -8,7 +8,7 @@ Tensor Core.
 
 On top of the modelled sweep, one Figure 21-sized point is *executed*
 numerically: a ``numeric_size^3`` (2048^3 by default) SpGEMM runs
-through the K-panel blocked engine (:mod:`repro.core.engine_blocked`)
+through the blocked engine (:mod:`repro.core.engine_blocked`)
 and contributes a row with its exact measured instruction counts.
 """
 
@@ -55,7 +55,7 @@ def run_fig21(
         config: optional GPU configuration override.
         numeric_size: dimension of the additional *executed* SpGEMM
             point: a ``numeric_size^3`` product at
-            :data:`NUMERIC_SPARSITY` is actually run through the K-panel
+            :data:`NUMERIC_SPARSITY` is actually run through the
             blocked engine and reported with its exact (not modelled)
             instruction counts.  ``0`` disables the point.
         seed: RNG seed for the executed point's random operands.
@@ -124,7 +124,7 @@ def run_fig21(
 
     if numeric_size:
         # The executed (not modelled) point: run a numeric_size^3 SpGEMM
-        # through the K-panel blocked engine and convert its *exact*
+        # through the blocked engine and convert its *exact*
         # issued-OHMMA count to an issue-limited time.  Feasible at
         # Figure 21 sizes (>= 2048^3) only since the blocked engine.
         from repro.core.spgemm_device import device_spgemm

@@ -10,7 +10,7 @@ reported.  The ``pruning`` knob swaps every model's native pruning
 pattern for any named method of the pruning suite.  Such runs were
 impractical with the seed's per-warp-tile Python loop; the vectorized
 engine (:mod:`repro.core.engine`) brought them into the seconds range
-at ``scale=0.125``, and the K-panel blocked engine
+at ``scale=0.125``, and the blocked engine
 (:mod:`repro.core.engine_blocked`) lifts the paper-sized layers into
 the same budget.
 """

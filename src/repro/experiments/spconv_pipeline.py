@@ -84,7 +84,7 @@ def run_spconv(
         backend: pipeline backend, forwarded to
             :func:`~repro.core.spconv.sparse_conv2d`.  ``"auto"`` (the
             default, as in ``sparse_conv2d`` and every session) is the
-            blocked engine, on its K-panel path at these lowered shapes;
+            blocked engine, on its whole-matrix path at these shapes;
             ``"vectorized"`` pins the per-k engine and ``"reference"``
             the oracle loops (orders of magnitude slower at this size).
             The statistics do not depend on the engine, so every row is

@@ -26,11 +26,10 @@ class GpuConfig:
         tensor_cores_per_subcore: Tensor Cores per sub-core.
         macs_per_tensor_core: FP16 multiply–accumulates per Tensor Core
             per cycle (64 on Volta).
-        cuda_cores_per_sm: FP32 CUDA cores per SM (used by the cuSparse
-            baseline, which cannot use Tensor Cores).
+        cuda_cores_per_sm: FP32 CUDA cores per SM (they run the bitmap
+            im2col's address-generation stream).
         clock_ghz: boost clock in GHz.
         dram_bandwidth_gbs: DRAM bandwidth in GB/s.
-        l2_bandwidth_gbs: L2 bandwidth in GB/s (bounds on-chip reuse).
         shared_memory_per_sm_kb: shared memory capacity per SM in KiB.
         accumulation_buffer_kb: proposed per-sub-core accumulation buffer
             size in KiB (32x32 FP32 = 4 KiB).
@@ -49,7 +48,6 @@ class GpuConfig:
     cuda_cores_per_sm: int = 64
     clock_ghz: float = 1.53
     dram_bandwidth_gbs: float = 900.0
-    l2_bandwidth_gbs: float = 2700.0
     shared_memory_per_sm_kb: int = 96
     accumulation_buffer_kb: int = 4
     accumulation_banks: int = 32
@@ -109,11 +107,6 @@ class GpuConfig:
         """DRAM bytes transferred per core clock cycle."""
         return self.dram_bandwidth_gbs / self.clock_ghz
 
-    @property
-    def l2_bytes_per_cycle(self) -> float:
-        """L2 bytes transferred per core clock cycle."""
-        return self.l2_bandwidth_gbs / self.clock_ghz
-
     def cycles_to_us(self, cycles: float) -> float:
         """Convert a cycle count to microseconds at the configured clock."""
         return cycles / (self.clock_ghz * 1e3)
@@ -136,7 +129,6 @@ A100_CONFIG = GpuConfig(
     cuda_cores_per_sm=64,
     clock_ghz=1.41,
     dram_bandwidth_gbs=1555.0,
-    l2_bandwidth_gbs=4500.0,
     shared_memory_per_sm_kb=164,
     accumulation_buffer_kb=4,
     accumulation_banks=32,
@@ -155,7 +147,6 @@ T4_CONFIG = GpuConfig(
     cuda_cores_per_sm=64,
     clock_ghz=1.59,
     dram_bandwidth_gbs=320.0,
-    l2_bandwidth_gbs=1300.0,
     shared_memory_per_sm_kb=64,
     accumulation_buffer_kb=4,
     accumulation_banks=32,
@@ -177,7 +168,6 @@ JETSON_XAVIER_CONFIG = GpuConfig(
     cuda_cores_per_sm=64,
     clock_ghz=1.377,
     dram_bandwidth_gbs=137.0,
-    l2_bandwidth_gbs=410.0,
     shared_memory_per_sm_kb=96,
     accumulation_buffer_kb=4,
     accumulation_banks=16,

@@ -74,18 +74,6 @@ class GpuTimingModel:
             raise ConfigError("num_ohmma must be non-negative")
         return num_ohmma / (self.config.ohmma_slots_per_cycle * efficiency)
 
-    def scalar_core_cycles(self, flops: float, efficiency: float = 0.4) -> float:
-        """Cycles for ``flops`` floating-point operations on the CUDA cores.
-
-        Used by the cuSparse baseline, which cannot use Tensor Cores; the
-        lower default efficiency reflects the irregular control flow of
-        sparse kernels.
-        """
-        self._check_efficiency(efficiency)
-        if flops < 0:
-            raise ConfigError("flops must be non-negative")
-        return flops / (2.0 * self.config.cuda_fma_per_cycle * efficiency)
-
     # ------------------------------------------------------------------ #
     # Roofline combination
     # ------------------------------------------------------------------ #

@@ -40,7 +40,7 @@ class TrafficBreakdown:
 
 
 class MemorySystem:
-    """Converts DRAM / L2 traffic to cycles at the configured bandwidth."""
+    """Converts DRAM traffic to cycles at the configured bandwidth."""
 
     def __init__(self, config: GpuConfig | None = None) -> None:
         self.config = config or V100_CONFIG
@@ -50,13 +50,3 @@ class MemorySystem:
         if total_bytes < 0:
             raise ConfigError("traffic must be non-negative")
         return total_bytes / self.config.dram_bytes_per_cycle
-
-    def l2_cycles(self, total_bytes: float) -> float:
-        """Cycles to move ``total_bytes`` through the L2 cache."""
-        if total_bytes < 0:
-            raise ConfigError("traffic must be non-negative")
-        return total_bytes / self.config.l2_bytes_per_cycle
-
-    def traffic_cycles(self, traffic: TrafficBreakdown) -> float:
-        """DRAM cycles for a full traffic breakdown."""
-        return self.dram_cycles(traffic.total_bytes)

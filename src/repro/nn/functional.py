@@ -16,7 +16,7 @@ inference sessions of :mod:`repro.nn.session` reproduce these runs
 bit-for-bit while encoding the weights only once.
 
 With the reference Python loop such runs were restricted to toy sizes;
-the K-panel blocked engine (:mod:`repro.core.engine_blocked`, which
+the blocked engine (:mod:`repro.core.engine_blocked`, which
 ``backend="auto"`` runs on every layer) makes full-resolution
 (``scale=1.0``) whole-model runs the default.  The ``scale`` knob
 shrinks spatial (CNN) / batch-row (GEMM) dimensions for quick smoke
@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.spconv import sparse_conv2d
 from repro.core.spgemm_device import DeviceStats, device_spgemm
-from repro.core.spgemm_warp import WarpTileConfig
+from repro.core.spgemm_warp import WarpTileConfig, ohmma_speedup
 from repro.errors import ConfigError
 from repro.kernels.layer_spec import ConvLayerSpec, GemmLayerSpec
 from repro.nn.models import ModelDefinition, get_model
@@ -101,10 +101,7 @@ class FunctionalModelRun:
     @property
     def instruction_speedup(self) -> float:
         """Whole-model dense / sparse OHMMA ratio."""
-        issued = self.ohmma_issued
-        if issued == 0:
-            return float(self.ohmma_dense) if self.ohmma_dense else 1.0
-        return self.ohmma_dense / issued
+        return ohmma_speedup(self.ohmma_dense, self.ohmma_issued)
 
 
 def _run_conv_layer(

@@ -11,12 +11,11 @@ precisely the amortisation the paper's bitmap encoding is designed for
 :func:`compile_model` builds a :class:`CompiledModel`:
 
 * every layer's pruned weights are materialised once (memoized across
-  compiles via :mod:`repro.nn.synthetic`) and encoded once as a
-  persistent :class:`~repro.core.operands.EncodedOperand` — the
-  closed-form statistics summary (with the segment occupancy the blocked
-  engine's warp-tile path plans from), the float64 view, the per-k
-  non-zero counts and (on the first K-panel multiply) the condensed
-  K-panels are all cached for the session lifetime;
+  compiles via :mod:`repro.nn.synthetic`) and encoded once as an
+  :class:`~repro.core.operands.EncodedOperand` — the closed-form
+  statistics summary (with the segment occupancy the blocked engine's
+  warp-tile path plans from), the float64 view and the per-k non-zero
+  counts are all cached for the session lifetime;
 * :meth:`CompiledModel.run` serves a whole batch: per layer, one
   blocked product per image against the cached weight side (a session
   compiled with ``backend="vectorized"`` instead stacks the B per-image
@@ -60,20 +59,22 @@ make this hold (asserted in ``tests/nn/test_session.py``):
   each layer as one fused SpGEMM over the stacked operand;
 * BLAS matmuls are *not* fold-safe (kernel selection and blocking
   change with the operand shape), so blocked layers keep per-image
-  blocked products inside the batched call — K-panel matmuls, or one
-  matmul per non-empty row tile of block-pruned GEMM weights (the RNN's
-  and BERT's) on the warp-tile path; the fused work they share is the
-  session-cached weight side (statistics summary and its segment
-  occupancy, float64 view, per-k counts, and on the K-panel path the
-  condensed K-panels).
+  blocked products inside the batched call — whole-matrix matmuls over
+  the live steps, or per non-empty row tile of block-pruned GEMM weights
+  (the RNN's and BERT's) on the warp-tile path; the fused work they
+  share is the session-cached weight side (statistics summary and its
+  segment occupancy, float64 view, per-k counts).
 
 Per-image statistics are composed from the cached weight-side summary
 and the image's own operand summary; the fused run's statistics are, by
 definition, their sum (:meth:`SessionRun.layer_stats`).
 
 Chunking keeps all of this: an image's vectorized rows do not depend on
-the other rows of its chunk, its blocked products are its own, and BLAS
-output does not depend on the thread count
+the other rows of its chunk, its blocked products are its own, and capping
+BLAS from 2 threads to 1 was measured to change no byte of the blocked
+engine's output (OpenBLAS 0.3.31; other counts and builds unverified),
+because none of its matmuls sums more than
+:data:`~repro.core.engine_blocked.MAX_PRODUCT_STEPS` reduction steps
 (:mod:`repro.core.engine_blocked`).
 """
 
@@ -97,7 +98,7 @@ from repro.core.spgemm_device import (
     device_spgemm,
     resolve_backend,
 )
-from repro.core.spgemm_warp import WarpTileConfig
+from repro.core.spgemm_warp import WarpTileConfig, ohmma_speedup
 from repro.errors import ConfigError
 from repro.kernels.layer_spec import ConvLayerSpec, GemmLayerSpec
 from repro.nn.functional import FunctionalLayerRun, FunctionalModelRun
@@ -155,9 +156,7 @@ def lowered_operand(
     """
     padded = pad_feature_map(feature_map.astype(np.float64), spec.padding)
     operand = EncodedOperand(
-        lower_windows(padded, spec.kernel, spec.stride, out_h, out_w),
-        "a",
-        persistent=False,
+        lower_windows(padded, spec.kernel, spec.stride, out_h, out_w), "a"
     )
     if np.isfinite(feature_map).all():
         operand._finite = True
@@ -222,10 +221,7 @@ class SessionRun:
     @property
     def instruction_speedup(self) -> float:
         """Batch-wide dense / sparse OHMMA ratio."""
-        issued = self.ohmma_issued
-        if issued == 0:
-            return float(self.ohmma_dense) if self.ohmma_dense else 1.0
-        return self.ohmma_dense / issued
+        return ohmma_speedup(self.ohmma_dense, self.ohmma_issued)
 
     def layer_stats(self) -> tuple[DeviceStats, ...]:
         """Fused per-layer statistics: the sum over the batch's images."""
@@ -520,9 +516,7 @@ def compile_model(
 
     Materialises and encodes every layer's pruned weights once: the
     statistics summaries, float64 views and per-k counts are warmed
-    eagerly; the blocked engine's condensed K-panels attach on the first
-    batch that takes its K-panel path and persist for the session
-    lifetime.
+    eagerly and persist for the session lifetime.
 
     Args:
         model: a :class:`ModelDefinition` or registry name.

@@ -1,7 +1,7 @@
 """Cap the thread pools of every OpenBLAS loaded in this process.
 
-The blocked engine turns each surviving K-panel into one BLAS matmul,
-so a process that runs several of them at once — the server's worker
+The blocked engine runs its products as BLAS matmuls, so a process
+that runs several of them at once — the server's worker
 threads, or the sweep executor's forked workers — must share the cores
 with OpenBLAS's own thread pool.  ``W`` concurrent callers each using a
 pool sized for every core run ``W × cores`` threads on ``cores`` cores,
@@ -11,7 +11,13 @@ OpenBLAS's thread count is process-global, so no single call site can
 size it; :func:`cap_blas_threads` sets it once for the whole process to
 ``min(current, max(1, cores // concurrency))``.  It never raises a
 count, so an explicit ``OPENBLAS_NUM_THREADS`` still wins, and it
-returns the previous counts for :func:`restore_blas_threads`.
+returns the previous counts for :func:`restore_blas_threads`.  A cap
+from 2 threads to 1 was measured to change no output byte (OpenBLAS
+0.3.31, SkylakeX kernel; other counts and builds unverified), because
+no blocked-engine matmul sums more than
+:data:`~repro.core.engine_blocked.MAX_PRODUCT_STEPS` reduction steps,
+below the 385 at which that build's bytes started to depend on its
+thread count (see :mod:`repro.core.engine_blocked`).
 
 A process can map more than one OpenBLAS: NumPy's wheel ships
 ``libscipy_openblas64_`` (64-bit integers, symbol suffix ``64_``) and

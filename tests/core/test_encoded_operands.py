@@ -7,10 +7,10 @@ work is skipped, never the result.  Hypothesis drives randomized
 (shape, sparsity) draws through every backend and asserts the numeric
 output is *bit-identical* and every ``DeviceStats`` / ``WarpStats``
 field equal between the dense-input call and each encoded-input
-variant — including warmed condensed K-panels, a warmed operand on the
-blocked engine's warp-tile path, cache reuse across repeated calls,
-mismatched encoding geometry (re-encoded transparently) and non-finite
-values.
+variant — including warmed operands on both blocked-engine paths (with
+products longer than one chunk of live steps), cache reuse across
+repeated calls, mismatched encoding geometry (re-encoded transparently)
+and non-finite values.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.api import SparseMatrix
 from repro.core.engine_blocked import (
-    DEFAULT_PANEL_TILES,
+    MAX_PRODUCT_STEPS,
     TILE_PATH_MAX_SHARE,
-    blocked_device_spgemm,
     tile_share,
 )
 from repro.core.operands import (
@@ -52,6 +51,18 @@ def operand_pairs(draw):
     a = random_sparse_matrix((m, k), draw(densities), rng)
     b = random_sparse_matrix((k, n), draw(densities), rng)
     return a, b
+
+
+def assert_cached_matches_uncached(a, b):
+    """Warmed operands, used twice, give the bytes of plain arrays."""
+    config = WarpTileConfig()
+    plain = device_spgemm(a, b, backend="blocked")
+    a_op = EncodedOperand.for_a(a).warm(config)
+    b_op = EncodedOperand.for_b(b).warm(config)
+    for _ in range(2):  # first and repeated use of the warmed caches
+        warmed = device_spgemm(a_op, b_op, backend="blocked")
+        assert warmed.output.tobytes() == plain.output.tobytes()
+        assert warmed.stats == plain.stats
 
 
 def encodings_of(a, b, config):
@@ -85,24 +96,26 @@ class TestEncodedParity:
 
     @SETTINGS
     @given(operand_pairs())
-    def test_warmed_panels_bit_identical_to_plain_blocked(self, operands):
+    def test_cached_operands_bytes_identical_to_uncached(self, operands):
         a, b = operands
-        config = WarpTileConfig()
-        plain = device_spgemm(a, b, backend="blocked")
-        a_op = EncodedOperand.for_a(a).warm(
-            config, panel=config.tk * DEFAULT_PANEL_TILES
-        )
-        b_op = EncodedOperand.for_b(b).warm(
-            config, panel=config.tk * DEFAULT_PANEL_TILES
-        )
-        warmed = device_spgemm(a_op, b_op, backend="blocked")
-        assert np.array_equal(plain.output, warmed.output)
-        assert plain.stats == warmed.stats
-        # Small panels exercise the candidate-subset gather path.
-        small = blocked_device_spgemm(a_op, b_op, panel_tiles=1)
-        reference = blocked_device_spgemm(a, b, panel_tiles=1)
-        assert np.array_equal(reference.output, small.output)
-        assert reference.stats == small.stats
+        assert_cached_matches_uncached(a, b)
+
+    @pytest.mark.parametrize("path", ["matrix", "tile"])
+    def test_cached_long_products_bytes_identical_to_uncached(self, path):
+        # More live steps than one matmul sums, with dead steps among
+        # them; emptying the rows past the first tile of four takes the
+        # warp-tile path.
+        rng = np.random.default_rng(13)
+        k_dim = 3 * MAX_PRODUCT_STEPS
+        a = random_sparse_matrix((100, k_dim), 0.5, rng)
+        a[:, rng.random(k_dim) < 0.1] = 0.0
+        if path == "tile":
+            a[32:] = 0.0
+        b = random_sparse_matrix((k_dim, 40), 0.5, rng)
+        a_op = EncodedOperand.for_a(a)
+        share = tile_share(a_op.summary(WarpTileConfig()), a_op.k_activity)
+        assert (share < TILE_PATH_MAX_SHARE) == (path == "tile")
+        assert_cached_matches_uncached(a, b)
 
     @SETTINGS
     @given(operand_pairs())
@@ -118,7 +131,7 @@ class TestEncodedParity:
 
 
 class TestWarpTilePath:
-    def test_warmed_persistent_a_bytes_identical_to_plain_arrays(self):
+    def test_warmed_a_bytes_identical_to_plain_arrays(self):
         # A session's GEMM layer: block-pruned (K, N) weights used
         # transposed on side A, float32 activations transposed on side B.
         rng = np.random.default_rng(19)
@@ -138,7 +151,6 @@ class TestWarpTilePath:
             encoded = device_spgemm(a_op, activations.T, backend="blocked")
             assert encoded.output.tobytes() == plain.output.tobytes()
             assert encoded.stats == plain.stats
-        assert a_op._panels == {}  # the tile path builds no K-panel cache
 
     def test_path_choice_reuses_the_statistics_summary(self):
         # The plan comes from the summary the call's statistics built,
@@ -241,7 +253,7 @@ class TestEncodedAdversarial:
         b = random_sparse_matrix((300, 40), 0.3, rng).astype(np.float64)
         a[0, 0], b[7, 3] = np.inf, np.nan
         dense = device_spgemm(a, b, backend="blocked")
-        a_op = EncodedOperand.for_a(a).warm(WarpTileConfig(), panel=256)
+        a_op = EncodedOperand.for_a(a).warm(WarpTileConfig())
         assert not a_op.all_finite
         encoded = device_spgemm(a_op, EncodedOperand.for_b(b), backend="blocked")
         assert np.array_equal(dense.output, encoded.output, equal_nan=True)

@@ -1,26 +1,30 @@
-"""Blocked vs vectorized vs reference parity for the K-panel engine.
+"""Blocked vs vectorized vs reference parity for the blocked engine.
 
-Hypothesis drives randomized (shape, sparsity, panel geometry) draws
-through all three functional backends and asserts:
+Hypothesis drives randomized (shape, sparsity) draws through all three
+functional backends and asserts:
 
 * every ``DeviceStats`` / ``WarpStats`` field is *bit-identical* across
   the three backends (the blocked engine reuses the closed-form stats,
   so this locks the wiring down),
 * the numeric output is exactly equal on integer-valued float data
-  (panel-order association is exact when every partial sum is
+  (chunk-order association is exact when every partial sum is
   representable), and
 * on general float data the blocked output stays within 2 float32 ulps
   of the reference, with the vectorized path still bit-identical.
 
 A second strategy draws block-pruned A operands whose tile share
 straddles :data:`TILE_PATH_MAX_SHARE`, so both the warp-tile and the
-K-panel path run; every such case also asserts which path ran.
+whole-matrix path run; every such case also asserts which path ran.
 
-Adversarial cases get dedicated tests: all-empty panels, K not a
-multiple of the panel size, single-row/column operands, and non-finite
-values (which must fall back to the bit-exact condensed path).  Both
-paths must also give byte-identical outputs whatever the BLAS thread
-count, since a server caps it while the oracles run uncapped.
+Live-step counts on both sides of :data:`MAX_PRODUCT_STEPS` pin the
+chunking: no matmul sums more than that many steps, no dead step
+reaches a matmul, and the result keeps the tolerance above.
+Adversarial cases get dedicated tests: K not a multiple of the step
+bound, single-row/column operands, and non-finite values (which must
+fall back to the bit-exact condensed path).  Both paths must also give
+byte-identical outputs with BLAS capped at one thread and uncapped, on
+every layer shape of the model zoo at benchmark scale, since a server
+caps it while the oracles run uncapped.
 """
 
 from __future__ import annotations
@@ -34,21 +38,22 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import engine_blocked
 from repro.core.engine_blocked import (
-    DEFAULT_PANEL_TILES,
+    MAX_PRODUCT_STEPS,
     TILE_PATH_MAX_SHARE,
     blocked_device_spgemm,
     blocked_numeric_product,
 )
 from repro.core.spgemm_device import BACKENDS, device_spgemm, resolve_backend
-from repro.core.spgemm_warp import WarpTileConfig
 from repro.errors import ShapeError
+from repro.nn.models import DEFAULT_MODELS, get_benchmark_scale
+from repro.nn.session import compile_model
 from repro.sparsity.generators import random_sparse_matrix
 from repro.utils import blas
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 #: Shapes stressing single-row/column operands and K values on both
-#: sides of the tk=16 tile (so edge panels and clipped k-tiles occur).
+#: sides of the tk=16 tile (so clipped k-tiles occur).
 dims = st.sampled_from([1, 2, 7, 15, 16, 17, 31, 33, 48, 64, 70])
 densities = st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0])
 
@@ -94,11 +99,11 @@ def _block_pruned(rng, shape, block, density):
 def block_pruned_pairs(draw, integer_valued):
     """A pruned in square blocks, B with some all-zero rows.
 
-    M is never a multiple of ``tm`` (32) and K never a multiple of the
-    256-step default panel.  Blocks of 32 rows keep the tile share near
-    the block density (0.02-0.3, the warp-tile side of the threshold);
-    8- and 16-row blocks put several blocks in one row tile and push the
-    share up to the K-panel side.
+    M is never a multiple of ``tm`` (32) and K never a multiple of
+    :data:`MAX_PRODUCT_STEPS`.  Blocks of 32 rows keep the tile share
+    near the block density (0.02-0.3, the warp-tile side of the
+    threshold); 8- and 16-row blocks put several blocks in one row tile
+    and push the share up to the whole-matrix side.
     """
     m = draw(st.sampled_from([100, 130, 200, 250]))
     k = draw(st.sampled_from([40, 100, 300]))
@@ -131,21 +136,43 @@ def expected_path(a, b, tm=32):
         [(a[r0 : r0 + tm] != 0).any(axis=0) for r0 in range(0, a.shape[0], tm)]
     )
     share = tiles[:, alive].mean()
-    return "tile" if share < TILE_PATH_MAX_SHARE else "panel"
+    return "tile" if share < TILE_PATH_MAX_SHARE else "matrix"
+
+
+def run_spying_products(func, *args, **kwargs):
+    """``(result, [(rows, steps), ...])``: every product ``func`` ran."""
+    with mock.patch.object(
+        engine_blocked, "_live_step_product",
+        wraps=engine_blocked._live_step_product,
+    ) as product:
+        result = func(*args, **kwargs)
+    return result, [call.args[2:4] for call in product.call_args_list]
+
+
+def path_of(products):
+    """The path a list of products ran: ``"matrix"``, ``"tile"`` or ``None``.
+
+    The whole-matrix path runs one product over every row, the warp-tile
+    path one per non-empty row tile.
+    """
+    rows = [tile_rows for tile_rows, _ in products]
+    if slice(None) in rows:
+        assert rows == [slice(None)]
+        return "matrix"
+    return "tile" if rows else None
 
 
 def run_spying_paths(func, *args, **kwargs):
     """``(result, path)``: which blocked-engine path ``func`` ran."""
-    with mock.patch.object(
-        engine_blocked, "_warp_tile_product",
-        wraps=engine_blocked._warp_tile_product,
-    ) as tile, mock.patch.object(
-        engine_blocked, "_panel_operand", wraps=engine_blocked._panel_operand
-    ) as panel:
+    result, products = run_spying_products(func, *args, **kwargs)
+    return result, path_of(products)
+
+
+def run_spying_matmuls(func, *args, **kwargs):
+    """``(result, [(a_block, b_block), ...])`` of every matmul ``func`` ran."""
+    with mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
         result = func(*args, **kwargs)
-    assert not (tile.called and panel.called)
-    path = "tile" if tile.called else "panel" if panel.called else None
-    return result, path
+    return result, [call.args for call in matmul.call_args_list]
 
 
 def assert_within_float32_ulps(actual, expected, ulps=2):
@@ -180,16 +207,68 @@ class TestHypothesisParity:
         assert reference.stats == blocked.stats
         assert_within_float32_ulps(blocked.output, reference.output)
 
-    @SETTINGS
-    @given(float_operand_pairs(), st.sampled_from([1, 2, 3, 16]))
-    def test_panel_size_never_changes_stats_or_exceeds_tolerance(
-        self, operands, panel_tiles
+
+#: Live steps in one product: one, either side of and at
+#: :data:`MAX_PRODUCT_STEPS`, and past two chunks.
+LIVE_STEP_COUNTS = [1, 255, 256, 257, 513]
+
+
+def live_step_operands(live, path, integer_valued):
+    """Operands with exactly ``live`` live steps, on ``path``.
+
+    A third as many dead steps sit among them, alternately an empty A
+    column and an empty B row, so most chunks are gathers.  On the
+    warp-tile path only the first of four row tiles holds non-zeros, a
+    tile share of 0.25.
+    """
+    rng = np.random.default_rng(live)
+    k_dim = live + live // 3 + 2
+    dead = rng.choice(k_dim, k_dim - live, replace=False)
+    if integer_valued:
+        a = rng.integers(1, 9, (123, k_dim)).astype(np.float64)
+        b = rng.integers(-8, 9, (k_dim, 24)).astype(np.float64)
+        b[b == 0] = 1.0
+    else:
+        a = rng.uniform(0.5, 1.5, (123, k_dim))
+        b = rng.uniform(0.5, 1.5, (k_dim, 24))
+    a[:, dead[::2]] = 0.0
+    b[dead[1::2]] = 0.0
+    if path == "tile":
+        a[32:] = 0.0
+    return a, b
+
+
+class TestLiveStepCounts:
+    @pytest.mark.parametrize("path", ["matrix", "tile"])
+    @pytest.mark.parametrize("live", LIVE_STEP_COUNTS)
+    @pytest.mark.parametrize("integer_valued", [True, False])
+    def test_exact_on_integers_within_two_ulps_otherwise(
+        self, live, path, integer_valued
     ):
-        a, b = operands
+        a, b = live_step_operands(live, path, integer_valued)
         reference = device_spgemm(a, b, backend="reference")
-        blocked = blocked_device_spgemm(a, b, panel_tiles=panel_tiles)
+        blocked, ran = run_spying_paths(device_spgemm, a, b, backend="blocked")
+        assert ran == path
         assert reference.stats == blocked.stats
-        assert_within_float32_ulps(blocked.output, reference.output)
+        if integer_valued:
+            assert np.array_equal(reference.output, blocked.output)
+        else:
+            assert_within_float32_ulps(blocked.output, reference.output)
+
+    @pytest.mark.parametrize("path", ["matrix", "tile"])
+    @pytest.mark.parametrize("live", LIVE_STEP_COUNTS)
+    def test_matmuls_sum_at_most_the_bound_and_only_live_steps(
+        self, live, path
+    ):
+        a, b = live_step_operands(live, path, integer_valued=True)
+        out, matmuls = run_spying_matmuls(blocked_numeric_product, a, b)
+        assert np.array_equal(out, a @ b)
+        assert len(matmuls) == -(-live // MAX_PRODUCT_STEPS)
+        for a_block, b_block in matmuls:
+            assert a_block.shape[1] <= MAX_PRODUCT_STEPS
+            assert (a_block != 0).any(axis=0).all()
+            assert (b_block != 0).any(axis=1).all()
+        assert sum(a_block.shape[1] for a_block, _ in matmuls) == live
 
 
 class TestWarpTilePath:
@@ -214,18 +293,42 @@ class TestWarpTilePath:
         assert_within_float32_ulps(blocked.output, reference.output)
 
 
+#: Every model of the zoo at its benchmark scale.  The smaller scales
+#: the suite compiles are covered by
+#: ``tests/nn/test_session.py::test_batch_matches_per_image_loop``,
+#: whose one-thread batch chunks must match the uncapped oracle.
+ZOO_SCALES = [(model, get_benchmark_scale(model)) for model in DEFAULT_MODELS]
+
+
 class TestBlasThreadCount:
     """Capping BLAS to one thread must not change a single output byte.
 
     A server caps OpenBLAS at cores // workers threads while the
     benchmark's and the soak's oracles run uncapped, and both compare
-    digests of the bytes.
+    digests of the bytes.  OpenBLAS 0.3.31 gave different bytes at 1
+    and 2 threads once a matmul summed more than 384 steps (for most
+    counts that are not a multiple of 32), so the ``-long`` cases hold
+    only because no matmul sums more than :data:`MAX_PRODUCT_STEPS`.
     """
 
     @staticmethod
-    def _operands(path):
+    def _operands(case):
         rng = np.random.default_rng(23)
-        if path == "tile":
+        if case == "matrix-long":
+            # ResNet-18 layer 3-2 at scale 0.0625: a 9 x 1152 lowered
+            # (column-major) A with 1070 of its 1152 steps live.
+            a = np.asfortranarray(rng.uniform(0.5, 1.5, (9, 1152)))
+            a[:, rng.choice(1152, 82, replace=False)] = 0.0
+            return a, rng.uniform(0.5, 1.5, (1152, 128))
+        if case == "tile-long":
+            # Blocks at 20% density put several hundred live steps in
+            # the busiest row tile; B's 5% all-zero features unalign it.
+            mask = _block_pruned(rng, (512, 3072), 32, 0.2)
+            a = np.where(mask, rng.uniform(0.5, 1.5, mask.shape), 0.0)
+            activations = rng.uniform(0.5, 1.5, (256, 3072)).astype(np.float32)
+            activations[:, rng.random(3072) < 0.05] = 0.0
+            return a, activations.T
+        if case == "tile":
             mask = _block_pruned(rng, (512, 1024), 32, 0.1)
             a = np.where(mask, rng.uniform(0.5, 1.5, mask.shape), 0.0)
         else:
@@ -234,34 +337,58 @@ class TestBlasThreadCount:
         b = random_sparse_matrix((256, 1024), 0.9, rng).T
         return a, b
 
-    @pytest.mark.parametrize("path", ["panel", "tile"])
-    def test_capped_output_is_byte_identical(self, path):
+    @staticmethod
+    def _capped(func, *args):
+        """``func(*args)`` with every OpenBLAS capped at one thread."""
         original = blas.blas_thread_counts()
-        if not original or max(original.values()) <= 1:
-            pytest.skip("BLAS already runs one thread: the cap cannot lower it")
-        a, b = self._operands(path)
-        uncapped, ran = run_spying_paths(blocked_numeric_product, a, b)
-        assert ran == path
         try:
             blas.cap_blas_threads(len(os.sched_getaffinity(0)))
             assert set(blas.blas_thread_counts().values()) == {1}
-            capped = blocked_numeric_product(a, b)
+            return func(*args)
         finally:
             blas.restore_blas_threads(original)
+
+    @pytest.fixture(autouse=True)
+    def _threaded_blas(self):
+        original = blas.blas_thread_counts()
+        if not original or max(original.values()) <= 1:
+            pytest.skip("BLAS already runs one thread: the cap cannot lower it")
+
+    @pytest.mark.parametrize("case", ["matrix", "tile", "matrix-long", "tile-long"])
+    def test_capped_output_is_byte_identical(self, case):
+        a, b = self._operands(case)
+        uncapped, products = run_spying_products(blocked_numeric_product, a, b)
+        assert path_of(products) == case.split("-")[0]
+        if case.endswith("-long"):
+            # One matmul over these steps would differ between threads.
+            longest = max(steps.size for _, steps in products)
+            assert longest > 384 and longest % 32
+        capped = self._capped(blocked_numeric_product, a, b)
         assert capped.tobytes() == uncapped.tobytes()
+
+    @pytest.mark.parametrize(
+        "model,scale", ZOO_SCALES, ids=[f"{m}-{s}" for m, s in ZOO_SCALES]
+    )
+    def test_every_zoo_layer_shape_is_byte_identical(self, model, scale):
+        # One image through every layer, each on the path it takes.
+        session = compile_model(model, scale=scale, memo=False)
+        uncapped = session.run_image(0).layers
+        capped = self._capped(session.run_image, 0).layers
+        for plain, layer in zip(uncapped, capped):
+            assert layer.output.tobytes() == plain.output.tobytes(), layer.layer
 
 
 class TestAdversarialCases:
-    def test_all_empty_panels_skipped(self):
-        # A and B only populate k < 16: with tk=16 and one-tile panels,
-        # every panel past the first is all-empty and must be skipped.
+    def test_no_dead_step_reaches_a_matmul(self):
+        # A and B only populate k < 12: the 52 steps past them are dead
+        # and must never be sliced or gathered into a matmul.
         a = np.zeros((8, 64))
         b = np.zeros((64, 8))
         a[:, :12] = 1.0
         b[:12, :] = 2.0
-        config = WarpTileConfig()
-        out = blocked_numeric_product(a, b, config=config, panel_tiles=1)
+        out, matmuls = run_spying_matmuls(blocked_numeric_product, a, b)
         assert np.array_equal(out, a @ b)
+        assert [a_block.shape for a_block, _ in matmuls] == [(8, 12)]
         reference = device_spgemm(a, b, backend="reference")
         blocked = device_spgemm(a, b, backend="blocked")
         assert np.array_equal(reference.output, blocked.output)
@@ -269,7 +396,7 @@ class TestAdversarialCases:
 
     def test_disjoint_k_support_is_all_zero(self):
         # A's columns and B's rows never overlap on any k: every step is
-        # dead, every panel is skipped, the output is exactly zero.
+        # dead, no matmul runs, the output is exactly zero.
         rng = np.random.default_rng(7)
         a = np.zeros((20, 40))
         b = np.zeros((40, 20))
@@ -281,7 +408,7 @@ class TestAdversarialCases:
         assert reference.stats == blocked.stats
 
     @pytest.mark.parametrize("k_dim", [1, 15, 17, 255, 257])
-    def test_k_not_multiple_of_panel(self, k_dim):
+    def test_k_not_multiple_of_the_step_bound(self, k_dim):
         rng = np.random.default_rng(k_dim)
         a = np.where(
             rng.random((16, k_dim)) < 0.4, rng.integers(-4, 5, (16, k_dim)), 0
@@ -323,10 +450,6 @@ class TestAdversarialCases:
         blocked = device_spgemm(np.zeros((64, 32)), np.zeros((32, 64)), backend="blocked")
         assert np.array_equal(reference.output, blocked.output)
         assert reference.stats == blocked.stats
-
-    def test_invalid_panel_tiles_rejected(self):
-        with pytest.raises(ShapeError):
-            blocked_numeric_product(np.ones((4, 4)), np.ones((4, 4)), panel_tiles=0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
