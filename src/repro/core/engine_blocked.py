@@ -19,7 +19,19 @@ Dead steps never reach a matmul.  The product is called in one of two
 ways:
 
 Whole matrix
-    Once, with all rows of A and every live step.
+    Once, with all rows of A and every live step.  When M, A's row
+    count (OH·OW for a conv layer), is a multiple of
+    :data:`TRANSPOSED_ROW_MULTIPLE`, it runs the transposed product
+    ``out.T = B.T @ A.T`` into a C-ordered (N, M) buffer and returns
+    that buffer's transpose, so a conv layer's output reshapes to a
+    C-contiguous (C, H, W) map.  BLAS multiplies a session's
+    column-major lowered A faster from that side: per image on one
+    thread, the conv layers of VGG-16, ResNet-18 and Mask R-CNN took
+    1117, 132 and 284 ms as ``A @ B`` and 871, 110 and 240 ms under
+    this rule (benchmark scale, sums of per-layer medians of 5,
+    OpenBLAS 0.3.31 on a 2-vCPU host).  Any other M runs ``A @ B``;
+    the rule is what keeps the bytes independent of the BLAS thread
+    count (below).
 
 Warp tiles
     Once per row tile of A (``WarpTileConfig.tm`` rows, one warp tile
@@ -65,19 +77,31 @@ Consequently:
   and agree to well within 2 float32 ulps (asserted by the Hypothesis
   parity suite in ``tests/core/test_engine_blocked.py``),
 * the output bytes did not depend on the BLAS thread count where that
-  was measured (1 vs 2 threads, OpenBLAS 0.3.31, SkylakeX kernel),
-  because no matmul sums more than :data:`MAX_PRODUCT_STEPS` steps.  A
-  longer reduction can: there, ``A @ B`` with an F-ordered A at M in
-  {32, 49, 784} gave the same bytes at 1 and 2 threads for every
-  reduction length up to 384, and different bytes for most longer
-  lengths that are not a multiple of 32, the first at 385 (B 128 or
-  more columns wide).  That fits the one- and multi-threaded drivers
-  splitting a reduction longer than a 384-step block at different
-  points (not checked against the OpenBLAS source).  Other thread
-  counts and other builds are unverified; wherever the suite runs,
-  ``TestBlasThreadCount`` in ``tests/core/test_engine_blocked.py``
-  pins that a one-thread cap changes no byte of every zoo layer shape
-  at benchmark scale,
+  was measured (1 vs 2 threads, OpenBLAS 0.3.31, SkylakeX kernel)
+  when two conditions held: no matmul summed more than
+  :data:`MAX_PRODUCT_STEPS` steps, and the matmul's output had a
+  contiguous dimension that is a multiple of 8.  A longer reduction
+  broke it: ``A @ B`` with an F-ordered A at M in {32, 49, 784} gave
+  the same bytes at 1 and 2 threads for every reduction length up to
+  384, and different bytes for most longer lengths that are not a
+  multiple of 32, the first at 385 (B 128 or more columns wide).  That
+  fits the one- and multi-threaded drivers splitting a reduction
+  longer than a 384-step block at different points (not checked
+  against the OpenBLAS source).  Within 256 steps the output's
+  contiguous dimension decided it: ``A @ B`` at M = 784, K = 256,
+  N = 250 differed in 20 elements, and at M = 950 with N = 128 or 136
+  it did not; one 256-step ``B.T @ A.T`` of dense values differed for
+  each of the 88 values of M in 900-999 that are not a multiple of 8
+  and for none of the 12 that are.  The whole-matrix path's
+  orientation rule gives every product with M or N a multiple of 8 such
+  an output.  A whole-matrix product with neither runs ``A @ B`` as
+  before, and so does every warp tile; where N is not a multiple of 8
+  their bytes can depend on the thread count (a 32-row tile of 256
+  steps differed at N = 250).  Other thread counts and other builds are
+  unverified; wherever the suite runs, ``TestBlasThreadCount`` in
+  ``tests/core/test_engine_blocked.py`` pins that a one-thread cap
+  changes no byte of every zoo layer shape at benchmark scale, on two
+  images, and of whole-matrix products on either side of the rule,
 * non-finite operands (inf/NaN) always fall back to the per-step
   condensed path, because a dense product would form ``0 * inf = NaN``
   partials the condensed hardware never evaluates.  The fallback is
@@ -98,9 +122,18 @@ from repro.core.spgemm_warp import WarpTileConfig
 
 #: Live reduction steps one matmul sums at most: sixteen of the paper's
 #: 16-step warp k-tiles, and below 385, the shortest reduction OpenBLAS
-#: 0.3.31 was measured to sum differently at 1 and 2 threads (module
-#: docstring).
+#: 0.3.31 was measured to sum differently at 1 and 2 threads.  The bound
+#: alone does not make a product's bytes independent of the thread
+#: count; its output's contiguous dimension must also be a multiple of
+#: 8 (module docstring).
 MAX_PRODUCT_STEPS = 256
+
+#: The whole-matrix path runs transposed when A's row count is a
+#: multiple of this: its output's contiguous dimension is then M, and
+#: OpenBLAS 0.3.31 gave the same bytes at 1 and 2 threads for a
+#: ≤256-step product exactly when that dimension was a multiple of 8
+#: (module docstring).
+TRANSPOSED_ROW_MULTIPLE = 8
 
 #: :func:`tile_share` below which the warp-tile path runs.  For a
 #: block-pruned 4096 x 2048 A times a dense 2048 x 1024 B on a 2-vCPU
@@ -156,8 +189,9 @@ def blocked_numeric_product(
 ) -> np.ndarray:
     """``a @ b`` in float64, summing only live steps per matrix or warp tile.
 
-    See the module docstring for both ways, the rule that picks one and
-    the accumulation-order guarantees.  Non-finite operands delegate to
+    See the module docstring for both ways, the rule that picks one,
+    the whole matrix's orientation and the accumulation-order
+    guarantees.  Non-finite operands delegate to
     :func:`repro.core.engine.vectorized_numeric_product`, which never
     forms products with a zero operand.  Operands may be ndarrays or
     pre-encoded :class:`~repro.core.operands.EncodedOperand` objects.
@@ -167,11 +201,10 @@ def blocked_numeric_product(
     config = config or WarpTileConfig()
     a_op = as_gemm_operand(a, "a", "a")
     b_op = as_gemm_operand(b, "b", "b")
-    m_dim = a_op.shape[0]
-    output = np.zeros((m_dim, b_op.shape[1]), dtype=np.float64)
+    m_dim, n_dim = a_op.shape[0], b_op.shape[1]
     alive = a_op.k_activity & b_op.k_activity
     if not alive.any():
-        return output
+        return np.zeros((m_dim, n_dim), dtype=np.float64)
     if not (a_op.all_finite and b_op.all_finite):
         # A dense matmul would evaluate 0 * inf = NaN partials the
         # condensed reference never forms; the per-step path is exact.
@@ -184,13 +217,25 @@ def blocked_numeric_product(
             b_finite=b_op.all_finite,
         )
 
-    a64 = a_op.dense64
+    # Each path allocates its output before a float32 A is cast to its
+    # float64 view: allocated after the cast, the spconv experiment's
+    # peak RSS measured 7% higher (209 against 195 MiB).
     summary = a_op.segment_summary(config)
     if tile_share(summary, alive) >= TILE_PATH_MAX_SHARE:
+        steps = np.flatnonzero(alive)
+        if m_dim % TRANSPOSED_ROW_MULTIPLE == 0:
+            output_t = np.empty((n_dim, m_dim), dtype=np.float64)
+            _live_step_product(
+                b_op.dense64.T, a_op.dense64.T, slice(None), steps, output_t
+            )
+            return output_t.T
+        output = np.empty((m_dim, n_dim), dtype=np.float64)
         _live_step_product(
-            a64, b_op.dense64, slice(None), np.flatnonzero(alive), output
+            a_op.dense64, b_op.dense64, slice(None), steps, output
         )
         return output
+    output = np.zeros((m_dim, n_dim), dtype=np.float64)
+    a64 = a_op.dense64
     # Cast once to C order: the row gathers below would be strided on
     # an F-ordered B (a session's transposed activations).
     b64 = np.ascontiguousarray(b_op.dense, dtype=np.float64)

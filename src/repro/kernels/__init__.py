@@ -21,33 +21,3 @@ Table III's im2col comparison lives in :mod:`repro.kernels.im2col_cost`.
 All calibration constants are documented in
 :mod:`repro.kernels.calibration`.
 """
-
-from repro.kernels.base import KernelEstimate
-from repro.kernels.layer_spec import ConvLayerSpec, GemmLayerSpec
-from repro.kernels.gemm_dense import CutlassGemm
-from repro.kernels.gemm_cusparse import CusparseGemm
-from repro.kernels.gemm_sparse_tc import SparseTensorCoreGemm
-from repro.kernels.gemm_dual_sparse import DualSparseGemm
-from repro.kernels.im2col_cost import Im2colCostModel, Im2colComparison
-from repro.kernels.conv_methods import (
-    ConvMethod,
-    ConvMethodModel,
-    CONV_METHODS,
-    GEMM_METHODS,
-)
-
-__all__ = [
-    "KernelEstimate",
-    "ConvLayerSpec",
-    "GemmLayerSpec",
-    "CutlassGemm",
-    "CusparseGemm",
-    "SparseTensorCoreGemm",
-    "DualSparseGemm",
-    "Im2colCostModel",
-    "Im2colComparison",
-    "ConvMethod",
-    "ConvMethodModel",
-    "CONV_METHODS",
-    "GEMM_METHODS",
-]

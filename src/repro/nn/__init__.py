@@ -17,7 +17,6 @@ from repro.nn.functional import (
     FunctionalModelRun,
     run_model_functional,
 )
-from repro.nn.inference import ModelEvaluator, LayerResult, ModelResult
 from repro.nn.models import MODEL_REGISTRY, get_model
 from repro.nn.session import (
     CompiledLayer,
@@ -37,9 +36,6 @@ __all__ = [
     "FunctionalModelRun",
     "run_model_functional",
     "relu",
-    "ModelEvaluator",
-    "LayerResult",
-    "ModelResult",
     "MODEL_REGISTRY",
     "get_model",
 ]

@@ -72,10 +72,14 @@ definition, their sum (:meth:`SessionRun.layer_stats`).
 Chunking keeps all of this: an image's vectorized rows do not depend on
 the other rows of its chunk, its blocked products are its own, and capping
 BLAS from 2 threads to 1 was measured to change no byte of the blocked
-engine's output (OpenBLAS 0.3.31; other counts and builds unverified),
-because none of its matmuls sums more than
-:data:`~repro.core.engine_blocked.MAX_PRODUCT_STEPS` reduction steps
-(:mod:`repro.core.engine_blocked`).
+engine's output on the zoo's layers (OpenBLAS 0.3.31; other counts and
+builds unverified).  That needs two conditions of every matmul: at most
+:data:`~repro.core.engine_blocked.MAX_PRODUCT_STEPS` reduction steps,
+and an output whose contiguous dimension is a multiple of 8, which the
+engine's whole-matrix path gets by running transposed when M is one
+(:mod:`repro.core.engine_blocked`).  A conv layer's (C, H, W) output map
+is then C-contiguous when OH·OW is a multiple of 8, and a transposed
+view otherwise.
 """
 
 from __future__ import annotations

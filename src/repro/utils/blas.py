@@ -12,12 +12,14 @@ size it; :func:`cap_blas_threads` sets it once for the whole process to
 ``min(current, max(1, cores // concurrency))``.  It never raises a
 count, so an explicit ``OPENBLAS_NUM_THREADS`` still wins, and it
 returns the previous counts for :func:`restore_blas_threads`.  A cap
-from 2 threads to 1 was measured to change no output byte (OpenBLAS
-0.3.31, SkylakeX kernel; other counts and builds unverified), because
-no blocked-engine matmul sums more than
-:data:`~repro.core.engine_blocked.MAX_PRODUCT_STEPS` reduction steps,
-below the 385 at which that build's bytes started to depend on its
-thread count (see :mod:`repro.core.engine_blocked`).
+from 2 threads to 1 was measured to change no output byte of the zoo's
+layers (OpenBLAS 0.3.31, SkylakeX kernel; other counts and builds
+unverified).  That build's bytes held at both counts when a matmul
+summed at most :data:`~repro.core.engine_blocked.MAX_PRODUCT_STEPS`
+reduction steps (the first difference was at 385) and its output's
+contiguous dimension was a multiple of 8; the blocked engine's
+whole-matrix path picks its orientation to give it one when M or N is
+a multiple of 8 (see :mod:`repro.core.engine_blocked`).
 
 A process can map more than one OpenBLAS: NumPy's wheel ships
 ``libscipy_openblas64_`` (64-bit integers, symbol suffix ``64_``) and

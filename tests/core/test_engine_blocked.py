@@ -24,7 +24,8 @@ bound, single-row/column operands, and non-finite values (which must
 fall back to the bit-exact condensed path).  Both paths must also give
 byte-identical outputs with BLAS capped at one thread and uncapped, on
 every layer shape of the model zoo at benchmark scale, since a server
-caps it while the oracles run uncapped.
+caps it while the oracles run uncapped; whole-matrix products on either
+side of the row-count rule pin which orientation each one runs.
 """
 
 from __future__ import annotations
@@ -309,6 +310,9 @@ class TestBlasThreadCount:
     and 2 threads once a matmul summed more than 384 steps (for most
     counts that are not a multiple of 32), so the ``-long`` cases hold
     only because no matmul sums more than :data:`MAX_PRODUCT_STEPS`.
+    Within that bound it still did whenever the output's contiguous
+    dimension was not a multiple of 8, so the whole-matrix path's
+    orientation follows A's row count (the ``rows-`` cases).
     """
 
     @staticmethod
@@ -367,13 +371,41 @@ class TestBlasThreadCount:
         assert capped.tobytes() == uncapped.tobytes()
 
     @pytest.mark.parametrize(
+        "m_dim,n_dim,transposed", [(950, 128, False), (952, 250, True)],
+        ids=["rows-950", "rows-952"],
+    )
+    def test_whole_matrix_orientation_follows_row_count(
+        self, m_dim, n_dim, transposed
+    ):
+        # Dense values over 300 live steps, so two matmuls.  At M = 950
+        # the transposed product differs between 1 and 2 threads (its
+        # contiguous dimension is 950); at M = 952, A @ B does (250).
+        rng = np.random.default_rng(m_dim)
+        a = np.asfortranarray(rng.uniform(0.5, 1.5, (m_dim, 300)))
+        b = rng.uniform(0.5, 1.5, (300, n_dim))
+        uncapped, products = run_spying_products(blocked_numeric_product, a, b)
+        assert path_of(products) == "matrix"
+        assert products[0][1].size > MAX_PRODUCT_STEPS
+        # The transposed product returns its C-ordered (N, M) buffer's
+        # transpose, an F-ordered view.
+        assert uncapped.flags.f_contiguous == transposed
+        assert uncapped.flags.c_contiguous != transposed
+        capped = self._capped(blocked_numeric_product, a, b)
+        assert capped.tobytes() == uncapped.tobytes()
+
+    @pytest.mark.parametrize("image", [0, 1])
+    @pytest.mark.parametrize(
         "model,scale", ZOO_SCALES, ids=[f"{m}-{s}" for m, s in ZOO_SCALES]
     )
-    def test_every_zoo_layer_shape_is_byte_identical(self, model, scale):
+    def test_every_zoo_layer_shape_is_byte_identical(
+        self, model, scale, image
+    ):
         # One image through every layer, each on the path it takes.
+        # Image 1 puts values in Mask R-CNN res3-conv (M = 950) whose
+        # transposed product differs between 1 and 2 threads.
         session = compile_model(model, scale=scale, memo=False)
-        uncapped = session.run_image(0).layers
-        capped = self._capped(session.run_image, 0).layers
+        uncapped = session.run_image(image).layers
+        capped = self._capped(session.run_image, image).layers
         for plain, layer in zip(uncapped, capped):
             assert layer.output.tobytes() == plain.output.tobytes(), layer.layer
 

@@ -9,8 +9,12 @@ behaviour run over real sockets against the tiny conformance models.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,7 @@ from repro.serving.server import (
 from repro.utils import blas
 
 SEED = 2021
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 
 # --------------------------------------------------------------------- #
@@ -335,6 +340,26 @@ class TestDrain:
             assert server.await_drained(timeout_s=30.0)
         finally:
             server.shutdown()
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        # A server never calls the statistical cost path, and importing
+        # SciPy would cost most of its time to READY.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
+        )
+        probe = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, repro.serving.server; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))",
+            ],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert probe.stdout.strip() == "[]"
 
 
 class TestBlasThreadCap:
