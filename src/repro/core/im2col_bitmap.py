@@ -93,17 +93,23 @@ class BitmapIm2colResult:
     stats: BitmapIm2colStats
 
 
-def _geometry_stats(
-    channels: int, kernel: int, out_h: int, out_w: int, padded_width: int
+def bitmap_im2col_counts(
+    channels: int,
+    kernel: int,
+    out_h: int,
+    out_w: int,
+    padded_width: int,
+    value_reads: int,
 ) -> BitmapIm2colStats:
-    """Data-independent operation tallies of one bitmap im2col.
+    """Operation tallies of one bitmap im2col, in closed form.
 
     Row loads, word reads and the mask/shift/POPC counts depend only on
     the geometry (the paper's point: the bitmap im2col's register cost
-    is independent of where the non-zeros are), so the vectorized engine
-    and the analytic counter share this single closed form.  The
-    data-dependent fields (``value_reads`` / ``value_writes``) are
-    filled in by each caller.
+    is independent of where the non-zeros are); the condensed values
+    read, and written to the lowered encoding, are the lowered map's
+    non-zeros, ``value_reads``.  The vectorized engine, the analytic
+    counter and :func:`repro.core.spconv.sparse_conv2d` share this one
+    form.
     """
     row_loads = channels * kernel * out_h
     return BitmapIm2colStats(
@@ -112,6 +118,8 @@ def _geometry_stats(
         mask_ops=row_loads,
         shift_ops=row_loads * (kernel - 1),
         popc_ops=row_loads * kernel,
+        value_reads=value_reads,
+        value_writes=value_reads,
         bitmap_bits_written=out_h * out_w * kernel * kernel * channels,
         lowered_shape=(out_h * out_w, kernel * kernel * channels),
     )
@@ -150,9 +158,9 @@ def bitmap_im2col(
         lowered, value_reads = bitmap_lowering(
             feature_map, kernel, stride, out_h, out_w
         )
-        stats = _geometry_stats(channels, kernel, out_h, out_w, padded_width)
-        stats.value_reads = value_reads
-        stats.value_writes = value_reads
+        stats = bitmap_im2col_counts(
+            channels, kernel, out_h, out_w, padded_width, value_reads
+        )
         encoding = BitmapMatrix.from_dense(lowered, order="col")
         return BitmapIm2colResult(lowered=lowered, encoding=encoding, stats=stats)
 
@@ -231,7 +239,6 @@ def count_bitmap_im2col_ops(
         )
     padded_width = feature_mask.shape[2]
 
-    stats = _geometry_stats(channels, kernel, out_h, out_w, padded_width)
     nonzeros = 0
     for ki in range(kernel):
         for kj in range(kernel):
@@ -241,6 +248,6 @@ def count_bitmap_im2col_ops(
                 kj : kj + stride * out_w : stride,
             ]
             nonzeros += int(np.count_nonzero(window))
-    stats.value_reads = nonzeros
-    stats.value_writes = nonzeros
-    return stats
+    return bitmap_im2col_counts(
+        channels, kernel, out_h, out_w, padded_width, nonzeros
+    )

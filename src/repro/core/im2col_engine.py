@@ -13,7 +13,9 @@ Two engines live here:
 * :func:`lower_windows` — K² strided slab copies, one per kernel
   offset, that produce the whole (OH*OW, K*K*C) lowered matrix in
   column-major order.  The dense and CSR variants build on it (their
-  differences are purely in accounting, which is closed-form).
+  differences are purely in accounting, which is closed-form), and so
+  does :class:`~repro.core.conv_operand.ConvOperand`, which lowers only
+  a feature map's non-zero mask.
 * :func:`bitmap_lowering` — the word-level register algorithm of
   Figure 11b (S1-S4), applied to every (channel, feature-map row) at
   once.  All row bitmaps are packed into ``uint32`` words (S1), the

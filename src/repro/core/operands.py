@@ -160,11 +160,11 @@ class OperandSummary:
 
 
 def _build_summary(
-    dense: np.ndarray, side: str, config: WarpTileConfig, element_bytes: int
+    mask: np.ndarray, side: str, config: WarpTileConfig, element_bytes: int
 ) -> OperandSummary:
-    """One pass of the per-side reductions the engines' stats factor over."""
-    mask = dense != 0
-    rows, cols = dense.shape
+    """One pass of the per-side reductions the engines' stats factor over,
+    read from the operand's boolean non-zero mask."""
+    rows, cols = mask.shape
     if side == "a":
         tile, quantum = config.tm, config.ohmma_m
         seg = segment_nnz(mask, tile, axis=0)  # (segments, K)
@@ -219,7 +219,7 @@ class EncodedOperand:
     """
 
     __slots__ = (
-        "dense",
+        "_dense",
         "side",
         "_dense64",
         "_k_nnz",
@@ -232,7 +232,11 @@ class EncodedOperand:
     def __init__(self, dense: np.ndarray, side: str) -> None:
         if side not in SIDES:
             raise ConfigError(f"unknown operand side {side!r}; expected 'a' or 'b'")
-        self.dense = check_2d(dense, f"operand {side}")
+        self._dense = check_2d(dense, f"operand {side}")
+        self._start(side)
+
+    def _start(self, side: str) -> None:
+        """Empty caches for an operand of ``side``."""
         self.side = side
         self._dense64: "np.ndarray | None" = None
         self._k_nnz: "np.ndarray | None" = None
@@ -255,9 +259,18 @@ class EncodedOperand:
         return cls(dense, "b")
 
     @property
+    def dense(self) -> np.ndarray:
+        """The dense 2-D operand, zeros included."""
+        return self._dense
+
+    @property
     def shape(self) -> tuple[int, int]:
         """(rows, cols) of the dense operand."""
         return self.dense.shape
+
+    def nonzero_mask(self) -> np.ndarray:
+        """Boolean mask of the operand's non-zero elements."""
+        return self.dense != 0
 
     # ------------------------------------------------------------------ #
     # Numeric-path caches
@@ -282,9 +295,9 @@ class EncodedOperand:
                 break
             else:
                 axis = 0 if self.side == "a" else 1
-                self._k_nnz = np.count_nonzero(self.dense64, axis=axis).astype(
-                    np.int64, copy=False
-                )
+                self._k_nnz = np.count_nonzero(
+                    self.nonzero_mask(), axis=axis
+                ).astype(np.int64, copy=False)
         return self._k_nnz
 
     @property
@@ -329,7 +342,9 @@ class EncodedOperand:
             key = (config.tn, config.tk, config.ohmma_n, element_bytes)
         summary = self._summaries.get(key)
         if summary is None:
-            summary = _build_summary(self.dense, self.side, config, element_bytes)
+            summary = _build_summary(
+                self.nonzero_mask(), self.side, config, element_bytes
+            )
             self._summaries[key] = summary
         return summary
 

@@ -10,7 +10,16 @@ The convolution pipeline the paper proposes is:
    the activation and the weight side.
 
 This module provides the functional pipeline and its combined statistics;
-the latency models live in :mod:`repro.kernels.conv_methods`.
+the latency models live in :mod:`repro.kernels.conv_methods`.  Step 2
+lowers only the map's bitmap: :class:`~repro.core.conv_operand.ConvOperand`
+holds the padded feature map, the layer geometry and the lowered bitmap
+(one byte per element), every statistic reads that bitmap, and the
+blocked engine reads the lowered rows it multiplies straight from the
+padded map, as strided views or gathers, so the lowered values are never
+written out (a path that multiplies them, such as ``backend="vectorized"``,
+builds them on demand).  The im2col operation counts come in closed form
+from the geometry and the bitmap's non-zero count.  ``backend="reference"``
+instead runs the original Python loops end to end.
 """
 
 from __future__ import annotations
@@ -19,9 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.im2col_bitmap import BitmapIm2colStats, bitmap_im2col
+from repro.core.conv_operand import ConvOperand, ConvWeightOperand
+from repro.core.im2col_bitmap import (
+    BitmapIm2colStats,
+    bitmap_im2col,
+    bitmap_im2col_counts,
+)
 from repro.core.im2col_dense import flatten_weights
-from repro.core.operands import EncodedOperand
 from repro.core.reference import conv_output_shape
 from repro.core.spgemm_device import BACKENDS, DeviceStats, device_spgemm
 from repro.core.spgemm_warp import WarpTileConfig
@@ -63,7 +76,7 @@ class CompiledConvWeights:
     Pruned weights are static for the lifetime of a model, yet
     :func:`sparse_conv2d` historically re-flattened and re-encoded them
     on every call.  Compiling them captures the flattened GEMM operand
-    as an :class:`~repro.core.operands.EncodedOperand` (plus the
+    as a :class:`~repro.core.conv_operand.ConvWeightOperand` (plus the
     geometry and sparsity the pipeline reports), so repeated
     convolutions — one per served image — skip all weight-side work.
     Results are bit-identical to passing the dense weights.
@@ -75,7 +88,7 @@ class CompiledConvWeights:
     """
 
     shape: tuple[int, int, int, int]
-    operand: EncodedOperand
+    operand: ConvWeightOperand
     weight_sparsity: float
 
     @classmethod
@@ -87,7 +100,9 @@ class CompiledConvWeights:
         n_filters = weights.shape[0]
         return cls(
             shape=weights.shape,
-            operand=EncodedOperand(flatten_weights(weights), "b"),
+            operand=ConvWeightOperand(
+                flatten_weights(weights), weights.shape[-1]
+            ),
             weight_sparsity=sparsity_of(weights.reshape(n_filters, -1)),
         )
 
@@ -127,12 +142,13 @@ def sparse_conv2d(
         padding: symmetric zero padding.
         config: warp tile geometry forwarded to the SpGEMM.
         backend: execution backend of the *whole* pipeline.  Any
-            non-``"reference"`` value chains the word-level im2col
-            engine into the selected SpGEMM engine — ``"auto"`` (the
-            default) is the blocked engine; ``"reference"`` runs the
-            original Python loops end to end.  All backends produce
-            identical statistics (bit-identical output for
-            ``"vectorized"`` vs ``"reference"``).
+            non-``"reference"`` value hands a
+            :class:`~repro.core.conv_operand.ConvOperand` to the selected
+            SpGEMM engine — ``"auto"`` (the default) is the blocked
+            engine; ``"reference"`` runs the original Python loops end
+            to end.  All backends produce identical statistics
+            (bit-identical output for ``"vectorized"`` vs
+            ``"reference"``).
 
     Returns:
         The (N, OH, OW) output feature map plus pipeline statistics.  The
@@ -156,15 +172,19 @@ def sparse_conv2d(
     channels, height, width = feature_map.shape
     out_h, out_w = conv_output_shape(height, width, kernel, stride, padding)
 
-    # The im2col engines only know "vectorized" vs "reference"; every
-    # SpGEMM backend other than the reference loop uses the word-level
-    # im2col engine (their outputs are bit-identical either way).
-    im2col_backend = "reference" if backend == "reference" else "vectorized"
-    im2col_result = bitmap_im2col(
-        feature_map, kernel, stride, padding, backend=im2col_backend
-    )
+    if backend == "reference":
+        im2col_result = bitmap_im2col(
+            feature_map, kernel, stride, padding, backend="reference"
+        )
+        lowered, im2col_stats = im2col_result.lowered, im2col_result.stats
+    else:
+        lowered = ConvOperand(feature_map, kernel, stride, padding)
+        # Each lowered non-zero is one condensed value read and written.
+        im2col_stats = bitmap_im2col_counts(
+            channels, kernel, out_h, out_w, width + 2 * padding, lowered.nnz
+        )
     gemm_result = device_spgemm(
-        im2col_result.lowered, weights.operand, config=config, backend=backend
+        lowered, weights.operand, config=config, backend=backend
     )
 
     n_filters = weights.n_filters
@@ -172,10 +192,10 @@ def sparse_conv2d(
         gemm_result.output.reshape(out_h, out_w, n_filters).transpose(2, 0, 1)
     )
     stats = SpConvStats(
-        im2col=im2col_result.stats,
+        im2col=im2col_stats,
         gemm=gemm_result.stats,
         activation_sparsity=sparsity_of(feature_map.reshape(channels, -1)),
         weight_sparsity=weights.weight_sparsity,
-        lowered_shape=im2col_result.lowered.shape,
+        lowered_shape=lowered.shape,
     )
     return SparseConvResult(output=output, stats=stats)

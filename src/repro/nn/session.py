@@ -14,16 +14,23 @@ precisely the amortisation the paper's bitmap encoding is designed for
   compiles via :mod:`repro.nn.synthetic`) and encoded once as an
   :class:`~repro.core.operands.EncodedOperand` — the closed-form
   statistics summary (with the segment occupancy the blocked engine's
-  warp-tile path plans from), the float64 view and the per-k non-zero
-  counts are all cached for the session lifetime;
+  warp-tile path plans from), the float64 view (a conv layer's grouped
+  by kernel offset, :class:`~repro.core.conv_operand.ConvWeightOperand`)
+  and the per-k non-zero counts are all cached for the session lifetime;
 * :meth:`CompiledModel.run` serves a whole batch: per layer, one
   blocked product per image against the cached weight side (a session
   compiled with ``backend="vectorized"`` instead stacks the B per-image
   operands along the fused GEMM's batch axis — the lowered-row M
   dimension for conv layers, the transposed-activation N dimension for
   GEMM layers — pushes them through the engine in one pass and splits
-  the output back per image).  Conv layers lower each image straight
-  into the float64 operand the engines multiply.
+  the output back per image).  A conv layer never lowers an image's
+  values: :func:`lowered_operand` builds the
+  :class:`~repro.core.conv_operand.ConvOperand` the oracle builds — the
+  padded float64 map and its lowered bitmap, from which every statistic
+  is read — and the blocked engine multiplies strided views and gathers
+  of that map (implicit im2col).  Only a path that multiplies lowered
+  values (the vectorized and reference backends, warp tiles, the
+  non-finite fallback) builds them, on demand.
 
 Parallel batches
 ----------------
@@ -76,10 +83,11 @@ engine's output on the zoo's layers (OpenBLAS 0.3.31; other counts and
 builds unverified).  That needs two conditions of every matmul: at most
 :data:`~repro.core.engine_blocked.MAX_PRODUCT_STEPS` reduction steps,
 and an output whose contiguous dimension is a multiple of 8, which the
-engine's whole-matrix path gets by running transposed when M is one
-(:mod:`repro.core.engine_blocked`).  A conv layer's (C, H, W) output map
-is then C-contiguous when OH·OW is a multiple of 8, and a transposed
-view otherwise.
+engine gives every matmul (:mod:`repro.core.engine_blocked`).  A conv
+layer's (C, H, W) output map is C-contiguous when its product runs
+transposed (from a wide row length of
+:data:`~repro.core.engine_blocked.IMPLICIT_TRANSPOSED_MIN_LENGTH`), and
+a transposed view otherwise.
 """
 
 from __future__ import annotations
@@ -91,6 +99,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.conv_operand import ConvOperand
 from repro.core.engine import vectorized_numeric_product
 from repro.core.im2col_engine import lower_windows, pad_feature_map
 from repro.core.operands import EncodedOperand, device_stats_from_operands
@@ -142,29 +151,22 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def lowered_operand(
-    feature_map: np.ndarray, spec: ConvLayerSpec, out_h: int, out_w: int
-) -> EncodedOperand:
-    """One image's lowered conv operand, built straight in float64.
+def lowered_operand(feature_map: np.ndarray, spec: ConvLayerSpec) -> ConvOperand:
+    """One image's lowered conv operand: its padded map and bitmap.
 
-    Padding a float64 copy of the map, which is K² times smaller than
-    the lowered matrix, makes the window gather yield the operand BLAS
-    multiplies: the same bytes the oracle's float32 lowering gives after
-    its ``astype``, without either copy.
-
-    Every lowered element is a map element or padding, so a finite map
-    proves the operand finite and the lowered matrix is never scanned.
-    A non-finite map proves nothing, because stride and cropping can
-    leave a map element outside every window; the operand then scans
-    itself on first use, as any other operand does.
+    The same :class:`~repro.core.conv_operand.ConvOperand` the oracle's
+    :func:`~repro.core.spconv.sparse_conv2d` builds, so both reach the
+    same engine call.  Its bitmap is padded and lowered through this
+    module's ``pad_feature_map`` and ``lower_windows``.
     """
-    padded = pad_feature_map(feature_map.astype(np.float64), spec.padding)
-    operand = EncodedOperand(
-        lower_windows(padded, spec.kernel, spec.stride, out_h, out_w), "a"
+    return ConvOperand(
+        feature_map,
+        spec.kernel,
+        spec.stride,
+        spec.padding,
+        pad=pad_feature_map,
+        lower=lower_windows,
     )
-    if np.isfinite(feature_map).all():
-        operand._finite = True
-    return operand
 
 
 @dataclass(frozen=True)
@@ -372,15 +374,12 @@ class CompiledModel:
         n_dim = spec.out_channels
         resolved = resolve_backend(self.backend)
 
-        # The strided-window gather produces the lowered matrix
-        # bit-identically to the bitmap im2col simulation (the engines
-        # assert so), without re-simulating the register-level path per
+        # The operand's bitmap is the strided-window gather of the map's
+        # non-zero mask: the lowered bitmap of the bitmap im2col
+        # simulation, without re-simulating the register-level path per
         # served request.
         if resolved == "vectorized":
-            lowered = [
-                lowered_operand(fm, spec, layer.out_h, layer.out_w)
-                for fm in feature_maps
-            ]
+            lowered = [lowered_operand(fm, spec) for fm in feature_maps]
             stats = [
                 device_stats_from_operands(
                     low, w_op, self.tile_config, self.element_bytes
@@ -405,11 +404,10 @@ class CompiledModel:
                 for index in range(len(images))
             ]
         else:
-            # One image at a time: its float64 lowered matrix is the
-            # largest array of the layer, and only one is alive.
+            # One image at a time: only one padded map is alive.
             results = [
                 device_spgemm(
-                    lowered_operand(fm, spec, layer.out_h, layer.out_w),
+                    lowered_operand(fm, spec),
                     w_op,
                     config=self.tile_config,
                     element_bytes=self.element_bytes,

@@ -17,9 +17,10 @@ layers (OpenBLAS 0.3.31, SkylakeX kernel; other counts and builds
 unverified).  That build's bytes held at both counts when a matmul
 summed at most :data:`~repro.core.engine_blocked.MAX_PRODUCT_STEPS`
 reduction steps (the first difference was at 385) and its output's
-contiguous dimension was a multiple of 8; the blocked engine's
-whole-matrix path picks its orientation to give it one when M or N is
-a multiple of 8 (see :mod:`repro.core.engine_blocked`).
+contiguous dimension was a multiple of 8; the blocked engine gives
+every matmul such an output, by its orientation, by widening N with
+zero columns, or by rounding a conv layer's wide row length up (see
+:mod:`repro.core.engine_blocked`).
 
 A process can map more than one OpenBLAS: NumPy's wheel ships
 ``libscipy_openblas64_`` (64-bit integers, symbol suffix ``64_``) and

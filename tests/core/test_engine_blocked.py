@@ -38,16 +38,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import engine_blocked
+from repro.core.conv_operand import ConvOperand
 from repro.core.engine_blocked import (
     MAX_PRODUCT_STEPS,
     TILE_PATH_MAX_SHARE,
     blocked_device_spgemm,
     blocked_numeric_product,
 )
+from repro.core.spconv import CompiledConvWeights
 from repro.core.spgemm_device import BACKENDS, device_spgemm, resolve_backend
 from repro.errors import ShapeError
-from repro.nn.models import DEFAULT_MODELS, get_benchmark_scale
+from repro.nn.models import DEFAULT_MODELS, get_benchmark_scale, get_model
 from repro.nn.session import compile_model
+from repro.nn.synthetic import conv_feature_map, conv_layer_weights
 from repro.sparsity.generators import random_sparse_matrix
 from repro.utils import blas
 
@@ -312,7 +315,11 @@ class TestBlasThreadCount:
     only because no matmul sums more than :data:`MAX_PRODUCT_STEPS`.
     Within that bound it still did whenever the output's contiguous
     dimension was not a multiple of 8, so the whole-matrix path's
-    orientation follows A's row count (the ``rows-`` cases).
+    orientation follows A's row count (the ``rows-`` cases), the warp
+    tiles and an ``A @ B`` with neither dimension a multiple of 8
+    multiply into rows widened to one (``tile-250``, ``rows-950-250``),
+    and a conv layer's wide row length is rounded up to one
+    (``test_conv_wide_length_is_byte_identical``).
     """
 
     @staticmethod
@@ -332,6 +339,13 @@ class TestBlasThreadCount:
             activations = rng.uniform(0.5, 1.5, (256, 3072)).astype(np.float32)
             activations[:, rng.random(3072) < 0.05] = 0.0
             return a, activations.T
+        if case == "tile-250":
+            # Whole 32-row tiles of 256 dense steps against a 250-wide B:
+            # each tile's matmul had a 250-element contiguous dimension.
+            a = np.zeros((512, 256))
+            a[64:96] = rng.uniform(0.5, 1.5, (32, 256))
+            a[320:352] = rng.uniform(0.5, 1.5, (32, 256))
+            return a, rng.uniform(0.5, 1.5, (256, 250))
         if case == "tile":
             mask = _block_pruned(rng, (512, 1024), 32, 0.1)
             a = np.where(mask, rng.uniform(0.5, 1.5, mask.shape), 0.0)
@@ -358,7 +372,9 @@ class TestBlasThreadCount:
         if not original or max(original.values()) <= 1:
             pytest.skip("BLAS already runs one thread: the cap cannot lower it")
 
-    @pytest.mark.parametrize("case", ["matrix", "tile", "matrix-long", "tile-long"])
+    @pytest.mark.parametrize(
+        "case", ["matrix", "tile", "matrix-long", "tile-long", "tile-250"]
+    )
     def test_capped_output_is_byte_identical(self, case):
         a, b = self._operands(case)
         uncapped, products = run_spying_products(blocked_numeric_product, a, b)
@@ -371,8 +387,9 @@ class TestBlasThreadCount:
         assert capped.tobytes() == uncapped.tobytes()
 
     @pytest.mark.parametrize(
-        "m_dim,n_dim,transposed", [(950, 128, False), (952, 250, True)],
-        ids=["rows-950", "rows-952"],
+        "m_dim,n_dim,transposed",
+        [(950, 128, False), (952, 250, True), (950, 250, False)],
+        ids=["rows-950", "rows-952", "rows-950-250"],
     )
     def test_whole_matrix_orientation_follows_row_count(
         self, m_dim, n_dim, transposed
@@ -380,6 +397,9 @@ class TestBlasThreadCount:
         # Dense values over 300 live steps, so two matmuls.  At M = 950
         # the transposed product differs between 1 and 2 threads (its
         # contiguous dimension is 950); at M = 952, A @ B does (250).
+        # At 950 x 250 neither orientation would hold: A @ B runs into
+        # rows widened to 256 and returns a view of its first 250
+        # columns, which is neither C- nor F-contiguous.
         rng = np.random.default_rng(m_dim)
         a = np.asfortranarray(rng.uniform(0.5, 1.5, (m_dim, 300)))
         b = rng.uniform(0.5, 1.5, (300, n_dim))
@@ -389,7 +409,9 @@ class TestBlasThreadCount:
         # The transposed product returns its C-ordered (N, M) buffer's
         # transpose, an F-ordered view.
         assert uncapped.flags.f_contiguous == transposed
-        assert uncapped.flags.c_contiguous != transposed
+        assert uncapped.flags.c_contiguous == (
+            not transposed and n_dim % 8 == 0
+        )
         capped = self._capped(blocked_numeric_product, a, b)
         assert capped.tobytes() == uncapped.tobytes()
 
@@ -408,6 +430,28 @@ class TestBlasThreadCount:
         capped = self._capped(session.run_image, image).layers
         for plain, layer in zip(uncapped, capped):
             assert layer.output.tobytes() == plain.output.tobytes(), layer.layer
+
+    @pytest.mark.parametrize("layer", ["res2-conv", "fpn-p2"])
+    def test_conv_wide_length_is_byte_identical(self, layer):
+        # Mask R-CNN at scale 0.25: maps of 50 x 76 padded to 52 x 78.
+        # The wide length 50 x 78 = 3900 is rounded up to 3904; left at
+        # 3900 (a mutation run), fpn-p2's 3900-wide product differed in
+        # 2 elements between 1 and 2 threads on image 1 (res2-conv, in
+        # 1248-column bands with a 156-wide last one, did not).
+        model = get_model("Mask R-CNN")
+        spec = next(s for s in model.conv_layers if s.name == layer)
+        feature_map = conv_feature_map(
+            model.name, spec, 2021, image=1, scale=0.25
+        )
+        weights = CompiledConvWeights.from_dense(
+            conv_layer_weights(model.name, spec, 2021)
+        ).operand
+        operand = ConvOperand(feature_map, spec.kernel, spec.stride, spec.padding)
+        assert feature_map.shape[1:] == (50, 76)
+        assert operand.row_length == 3904
+        uncapped = blocked_numeric_product(operand, weights)
+        capped = self._capped(blocked_numeric_product, operand, weights)
+        assert capped.tobytes() == uncapped.tobytes()
 
 
 class TestAdversarialCases:

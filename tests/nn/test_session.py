@@ -9,7 +9,8 @@ fused per-layer statistics are by definition the per-image sums.
 
 Also covers image-parallel batches (chunks on a thread pool under a
 BLAS cap, bit-identical to the sequential run), the finiteness proof of
-the float64 conv lowering, and the operand memoization of
+the conv operand, the implicit lowering (a session lowers only the
+bitmap of each feature map), and the operand memoization of
 :mod:`repro.nn.synthetic`: pure per-(model, layer, seed[, image])
 streams, content-addressed reuse, read-only cached arrays, and byte
 accounting that holds under concurrent callers.
@@ -22,18 +23,24 @@ import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.reference import conv_output_shape
 from repro.core.spgemm_device import DeviceStats
 from repro.errors import ConfigError
 from repro.kernels.layer_spec import ConvLayerSpec
 from repro.nn import session, synthetic
 from repro.nn.functional import run_model_functional
-from repro.nn.models import DEFAULT_MODELS, ModelDefinition
+from repro.core import conv_operand
+from repro.nn.models import (
+    DEFAULT_MODELS,
+    ModelDefinition,
+    get_benchmark_scale,
+    get_model,
+)
 from repro.nn.session import CompiledModel, compile_model, lowered_operand
 from repro.nn.synthetic import (
     clear_operand_memo,
@@ -294,10 +301,7 @@ def finiteness_spec(kernel, stride, padding):
 
 
 def lower(feature_map, spec):
-    out_h, out_w = conv_output_shape(
-        5, 5, spec.kernel, spec.stride, spec.padding
-    )
-    return lowered_operand(feature_map, spec, out_h, out_w)
+    return lowered_operand(feature_map, spec)
 
 
 class TestFinitenessProof:
@@ -312,8 +316,11 @@ class TestFinitenessProof:
 
         monkeypatch.setattr(np, "isfinite", spy)
         operand = lower(feature_map, finiteness_spec(3, 1, 1))
-        assert operand.dense.dtype == np.float64
         assert operand.all_finite
+        assert scanned == [feature_map.shape]
+        # Only the bitmap was lowered; the values lower on demand.
+        assert operand.bitmap.dtype == np.bool_
+        assert operand.dense.dtype == np.float64
         assert scanned == [feature_map.shape]
 
     def test_uncovered_inf_leaves_the_operand_finite(self):
@@ -354,6 +361,54 @@ class TestFinitenessProof:
             )
             assert not np.isfinite(oracle.layers[0].output).all()
             assert_runs_equal(oracle, run.per_image[image])
+
+
+ZOO_CNNS = [name for name in DEFAULT_MODELS if get_model(name).kind == "cnn"]
+
+
+class TestImplicitLowering:
+    @pytest.mark.parametrize("model", ZOO_CNNS)
+    def test_sessions_lower_only_the_bitmap(self, model, monkeypatch):
+        # At benchmark scale, through the default backend: only boolean
+        # maps reach the session's lower_windows, the lowered values
+        # are never built, and no product allocates, beside its output,
+        # as many bytes as the float64 lowered matrix would take.
+        lowered_dtypes = []
+        real_lower = session.lower_windows
+        real_spgemm = session.device_spgemm
+        calls = []
+
+        def lower_spy(padded, *args):
+            lowered_dtypes.append(padded.dtype)
+            return real_lower(padded, *args)
+
+        def no_values(*args):
+            raise AssertionError("the lowered values were built")
+
+        def spgemm_spy(a, b, **kwargs):
+            current, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            result = real_spgemm(a, b, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+            rows, steps = a.shape
+            calls.append((peak - current - result.output.nbytes, rows * steps * 8))
+            return result
+
+        monkeypatch.setattr(session, "lower_windows", lower_spy)
+        monkeypatch.setattr(session, "device_spgemm", spgemm_spy)
+        monkeypatch.setattr(conv_operand.ConvOperand, "dense", property(no_values))
+        compiled = compile_model(
+            model, scale=get_benchmark_scale(model), memo=False
+        )
+        tracemalloc.start()
+        try:
+            compiled.run_image(0)
+        finally:
+            tracemalloc.stop()
+        assert lowered_dtypes == [np.dtype(bool)] * len(compiled.layers)
+        assert len(calls) == len(compiled.layers)
+        for transient, lowered_bytes in calls:
+            assert transient < lowered_bytes
 
 
 class TestFusedStats:
